@@ -1,20 +1,26 @@
 """Atoms, discreteness, classification, and order projections.
 
 An atom is a generator of an extreme ray, so atom questions reduce to the
-cone's canonical generator list.  Classification leans on the fact that in
-finite dimension the pervasive / vector-lattice / RDP properties coincide and
-hold exactly for simplicial cones.
+cone's canonical generator list.  Discreteness and weak pervasiveness are
+read off the atoms' supports in the facet embedding: for b >= 0 the interval
+[0,b] is a neighbourhood of 0 in the minimal face F_b, and a face is
+generated by the atoms it contains, namely those whose supports lie inside
+supp(F b).  Classification leans on the fact that in finite dimension the
+pervasive / vector-lattice / RDP properties coincide and hold exactly for
+simplicial cones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .bands import (
     Band,
     DEFAULT_ENUMERATION_CAP,
     Subspace,
+    atom_supports,
     band_of,
     disjoint_complement,
     enumerate_bands,
@@ -27,7 +33,6 @@ from .bands import (
 from .cones import OrderedSpace, embed, in_cone, leq
 from .cover import modulus_dominates
 from .errors import (
-    CapExceeded,
     NotABand,
     NotAtom,
     NotDirectSum,
@@ -51,7 +56,6 @@ from .linalg import (
     support,
     transpose,
     vec,
-    vmin,
     vadd,
     vscale,
     vsub,
@@ -72,49 +76,21 @@ def is_atom(space: OrderedSpace, x: Vec) -> bool:
     return not is_zero_vec(x) and in_cone(space, x) and primitive(x) in set(space.generators)
 
 
-def _image_box(space: OrderedSpace, upper: Vec) -> tuple[list, list]:
-    """Rows for 0 <= F u <= upper in u-space."""
-    rows, rhs = [], []
-    for f, cap in zip(space.F, upper):
-        rows.append(f)
-        rhs.append(ZERO)
-        rows.append(tuple(-e for e in f))
-        rhs.append(-cap)
-    return rows, rhs
-
-
-def is_discrete(space: OrderedSpace, x: Vec, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def is_discrete(space: OrderedSpace, x: Vec) -> bool:
     """Whether x > 0 admits no pair of disjoint nonzero parts below it.
 
-    For each split of supp(F x) into complementary nonempty parts, two LPs
-    decide whether both parts support a nonzero element of [0, x]; x is
-    discrete iff no split passes both.
+    Face rule: x is discrete iff no two atoms whose supports lie inside
+    supp(F x), the atoms of the face F_x, have disjoint supports.  If
+    0 < u, v <= x are disjoint, u and v lie in F_x and are positive sums of
+    atoms of F_x; an atom of u and one of v have supports inside supp(F u)
+    and supp(F v), which are disjoint.  Conversely, small multiples of two
+    disjoint atoms of F_x lie in [0, x].
     """
     if is_zero_vec(x) or not in_cone(space, x):
         raise NotPositive("is_discrete needs x > 0")
-    img = embed(space, x)
-    supp = sorted(support(img))
-    k = len(supp)
-    if k > cap:
-        raise CapExceeded(f"support size {k} exceeds the 2^k split cap {cap}")
-
-    realizable: dict[frozenset, bool] = {}
-
-    def part_realizable(J: frozenset) -> bool:
-        if J not in realizable:
-            rows, rhs = _image_box(space, vec([img[j - 1] if j in J else 0 for j in range(1, space.m + 1)]))
-            c = [sum(f[i] for f in (space.F[j - 1] for j in J)) for i in range(space.dim)]
-            res = lp(vec(c), Polyhedron(mat(rows), vec(rhs), space.dim))
-            assert isinstance(res, Optimal)
-            realizable[J] = res.value > 0
-        return realizable[J]
-
-    for mask in range(1, 1 << (k - 1)) if k else ():
-        J1 = frozenset(supp[i] for i in range(k) if mask >> i & 1)
-        J2 = frozenset(supp) - J1
-        if part_realizable(J1) and part_realizable(J2):
-            return False
-    return True
+    face = support(embed(space, x))
+    inside = [s for s in atom_supports(space) if s <= face]
+    return all(s & t for s, t in combinations(inside, 2))
 
 
 # --- classification ----------------------------------------------------------
@@ -132,16 +108,11 @@ class Violated:
 
 
 @dataclass(frozen=True)
-class NoViolationFound:
-    pass
-
-
-@dataclass(frozen=True)
 class Classification:
     is_lattice: bool
     is_pervasive: bool
     is_fordable: bool
-    weakly_pervasive: Holds | Violated | NoViolationFound
+    weakly_pervasive: Holds | Violated
     has_rdp: bool
     atom_count: int
 
@@ -157,6 +128,17 @@ def _is_fordable(space: OrderedSpace) -> bool:
     return True
 
 
+def _image_box(space: OrderedSpace, upper: Vec) -> tuple[list, list]:
+    """Rows for 0 <= F u <= upper in u-space."""
+    rows, rhs = [], []
+    for f, cap in zip(space.F, upper):
+        rows.append(f)
+        rhs.append(ZERO)
+        rows.append(tuple(-e for e in f))
+        rhs.append(-cap)
+    return rows, rhs
+
+
 def _order_interval_probe(space: OrderedSpace, bound: Vec):
     """max of the image coordinate sum over {x : 0 <= F x <= bound}."""
     rows, rhs = _image_box(space, bound)
@@ -166,54 +148,36 @@ def _order_interval_probe(space: OrderedSpace, bound: Vec):
     return res
 
 
-def weakly_pervasive_search(space: OrderedSpace):
-    """Falsification search for weak pervasiveness over rays and ray sums.
-
-    A violating pair is b, d > 0, not disjoint, with [0,b] and [0,d] meeting
-    only in 0.  Simplicial spaces never produce one: there the image interval
-    [0, min(Fb, Fd)] is the full box, whose coordinate sum is positive for
-    any overlapping supports.
-    """
-    if space.m == space.dim:
-        return None
-    gens = space.generators
-    pool = list(gens) + [vadd(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            b, d = pool[i], pool[j]
-            if is_disjoint(space, b, d):
-                continue
-            bound = vmin(embed(space, b), embed(space, d))
-            if _order_interval_probe(space, bound).value == 0:
-                return (b, d)
-    return None
+def _is_simplicial(space: OrderedSpace) -> bool:
+    """As many atoms as dimensions; the atoms span Q^n, so they are a basis."""
+    return len(space.generators) == space.dim
 
 
 def classify(space: OrderedSpace) -> Classification:
     """Lattice / pervasive / fordable / weakly-pervasive / RDP flags.
 
-    In finite dimension the first, second, and last coincide and hold exactly
-    when the cone is simplicial (atom count = dimension, independent rays).
-    Weak pervasiveness is searched, not decided: a clean search on a
-    non-pervasive space reports NoViolationFound rather than Holds.
+    In finite dimension the lattice, pervasive and RDP flags coincide and hold
+    exactly when the cone is simplicial.  Weak pervasiveness is decided on the
+    atoms' supports and is equivalent to them:
+    - two distinct atoms a, b with overlapping supports are not disjoint, yet
+      [0,a] and [0,b] are segments on different rays and meet only in 0, so
+      (a, b) violates weak pervasiveness;
+    - if distinct atoms are pairwise disjoint, a facet positive on an atom a
+      vanishes on every other atom, so no atom lies in the span of the others
+      and the cone is simplicial.
+    The violation reported is the first such pair in generator order.
     """
-    n = space.dim
-    count = len(space.generators)
-    lattice = count == n and rank(space.generators) == n
-    violation = weakly_pervasive_search(space)
-    if violation is not None:
-        wp = Violated(*violation)
-    elif lattice:
-        wp = Holds()
-    else:
-        wp = NoViolationFound()
+    gens = space.generators
+    lattice = _is_simplicial(space)
+    pairs = combinations(zip(gens, atom_supports(space)), 2)
+    overlap = next(((a, b) for (a, s), (b, t) in pairs if s & t), None)
     return Classification(
         is_lattice=lattice,
         is_pervasive=lattice,
         is_fordable=_is_fordable(space),
-        weakly_pervasive=wp,
+        weakly_pervasive=Holds() if overlap is None else Violated(*overlap),
         has_rdp=lattice,
-        atom_count=count,
+        atom_count=len(gens),
     )
 
 
@@ -257,8 +221,7 @@ def atom_lambda(space: OrderedSpace, x: Vec, a: Vec, cross_check: bool = True) -
     Optionally cross-checked against the one-variable LP max{mu : F(x - mu a) >= 0}.
     Zero exactly when x and a are disjoint.
     """
-    cls = classify(space)
-    if not cls.is_pervasive:
+    if not _is_simplicial(space):
         raise NotPervasive("the atomic scaling coefficient needs a pervasive space")
     if not is_atom(space, a):
         raise NotAtom("a must generate an extreme ray")

@@ -100,6 +100,11 @@ def union_support(space: OrderedSpace, vectors) -> frozenset[int]:
     return frozenset(out)
 
 
+def atom_supports(space: OrderedSpace) -> tuple[frozenset[int], ...]:
+    """supp(F g) for each atom g, in generator order: the atoms' facet images."""
+    return tuple(support(embed(space, g)) for g in space.generators)
+
+
 def kernel_of_rows(space: OrderedSpace, J) -> Subspace:
     """{x : f_j(x) = 0 for all j in J} as a canonical subspace."""
     J = sorted(set(J))
@@ -131,7 +136,7 @@ def disjoint_complement(space: OrderedSpace, M) -> Band:
     """
     J = union_support(space, _as_vectors(space, M))
     carrier = kernel_of_rows(space, J)
-    return Band(carrier, frozenset(J), is_directed_subspace(space, carrier))
+    return Band(carrier, J, _kernel_is_directed(space, atom_supports(space), J, carrier))
 
 
 def band_of(space: OrderedSpace, a: Vec) -> Band:
@@ -147,11 +152,24 @@ def is_band(space: OrderedSpace, D) -> bool:
     return dd.carrier.basis == D.basis
 
 
+def _kernel_is_directed(space: OrderedSpace, supports, J, carrier: Subspace) -> bool:
+    """Whether the row kernel carrier = ker(F_J) is directed.
+
+    Every f_j is >= 0 on K, so K meets ker(F_J) in a face of K, and a face of
+    a pointed polyhedral cone is generated by the atoms it contains: here the
+    atoms whose supports miss J.  The carrier is spanned by its positive part
+    iff those atoms have rank carrier.dim.
+    """
+    inside = tuple(g for g, s in zip(space.generators, supports) if not s & J)
+    return rank(inside) == carrier.dim
+
+
 def is_directed_subspace(space: OrderedSpace, D: Subspace) -> bool:
-    """Whether D is spanned by D's own positive part.
+    """Whether an arbitrary subspace D is spanned by D's own positive part.
 
     Double description of {c : sum c_i b_i in K} in coefficient space; D is
-    directed iff those rays span all of D.
+    directed iff those rays span all of D.  Row kernels, and so all bands, take
+    the face route of `_kernel_is_directed` instead.
     """
     d = D.dim
     if d == 0:
@@ -184,6 +202,7 @@ def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> 
             supports[D.basis] = union_support(space, D.basis)
         return supports[D.basis]
 
+    atom_supp = atom_supports(space)
     seen: dict[Mat, Band] = {}
     for mask in range(1 << m):
         J = frozenset(j + 1 for j in range(m) if mask >> j & 1)
@@ -195,7 +214,7 @@ def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> 
         if dd.basis != carrier.basis:
             continue
         full = frozenset(range(1, m + 1))
-        band = Band(carrier, full - supp(carrier), is_directed_subspace(space, carrier))
+        band = Band(carrier, full - supp(carrier), _kernel_is_directed(space, atom_supp, J, carrier))
         seen[carrier.basis] = band
     return tuple(sorted(seen.values(), key=lambda b: (b.carrier.dim, b.carrier.basis)))
 

@@ -24,7 +24,6 @@ from .atoms import (
     Inapplicable,
     NoWitness,
     Split,
-    Violated,
     Witness,
     atom_lambda,
     atoms,
@@ -241,10 +240,8 @@ def _band_json(band: Band) -> dict:
 def _classification_json(cls) -> dict:
     if isinstance(cls.weakly_pervasive, Holds):
         wp: dict = {"holds": True}
-    elif isinstance(cls.weakly_pervasive, Violated):
-        wp = {"violated": [_vec_json(cls.weakly_pervasive.b), _vec_json(cls.weakly_pervasive.d)]}
     else:
-        wp = {"noViolationFound": True}
+        wp = {"violated": [_vec_json(cls.weakly_pervasive.b), _vec_json(cls.weakly_pervasive.d)]}
     return {
         "lattice": cls.is_lattice,
         "pervasive": cls.is_pervasive,

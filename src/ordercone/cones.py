@@ -21,7 +21,6 @@ from .linalg import (
     invert,
     is_zero_vec,
     mat_vec,
-    nullspace,
     primitive,
     rank,
     solve_linear,
@@ -74,47 +73,20 @@ def extreme_rays(A: Mat) -> tuple[Vec, ...]:
 
 
 @dataclass(frozen=True)
-class ConeSpec:
-    """Both representations of one pointed generating cone in Q^dim."""
+class OrderedSpace:
+    """Q^dim ordered by a cone, given by its extreme rays and its facet rows.
 
+    The facet matrix F doubles as the embedding into Q^m.
+    """
+
+    name: str
     dim: int
     generators: Mat
-    facets: Mat
-
-
-@dataclass(frozen=True)
-class FunctionalRep:
-    """The facet matrix viewed as the embedding into Q^m, plus its range data."""
-
     F: Mat
-    range_relations: Mat  # canonical basis of {r : r . (F x) = 0 for every x}
 
     @property
     def m(self) -> int:
         return len(self.F)
-
-
-@dataclass(frozen=True)
-class OrderedSpace:
-    name: str
-    cone: ConeSpec
-    completion: FunctionalRep
-
-    @property
-    def dim(self) -> int:
-        return self.cone.dim
-
-    @property
-    def generators(self) -> Mat:
-        return self.cone.generators
-
-    @property
-    def F(self) -> Mat:
-        return self.completion.F
-
-    @property
-    def m(self) -> int:
-        return len(self.completion.F)
 
 
 def _clean_rows(rows, dim: int, what: str) -> Mat:
@@ -186,9 +158,7 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
         if any(dot(f, g) < 0 for f in face):
             raise ParseError("internal representation mismatch")
 
-    spec = ConeSpec(dim=dim, generators=gens, facets=face)
-    rep = FunctionalRep(F=face, range_relations=nullspace(transpose(face)))
-    return OrderedSpace(name=name, cone=spec, completion=rep)
+    return OrderedSpace(name=name, dim=dim, generators=gens, F=face)
 
 
 def leq(space: OrderedSpace, x: Vec, y: Vec) -> bool:

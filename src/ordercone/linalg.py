@@ -35,10 +35,6 @@ def as_fraction(x) -> Fraction:
     raise ValueError(f"not a rational: {x!r}")
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def vec(entries) -> Vec:
     return tuple(as_fraction(e) for e in entries)
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,6 @@ from ordercone.atoms import (
     Inapplicable,
     NoDecomposition,
     NoSplit,
-    NoViolationFound,
     NoWitness,
     Split,
     Violated,
@@ -55,6 +55,7 @@ from ordercone.errors import (
 )
 from ordercone.fixtures import (
     four_ray,
+    random_polygon_space,
     random_positive,
     random_simplicial_space,
     random_space,
@@ -66,6 +67,7 @@ from ordercone.linalg import (
     mat_vec,
     rank,
     solve_linear,
+    support,
     vadd,
     vec,
     vscale,
@@ -80,19 +82,58 @@ def pentagon():
     return build_space(3, generators=gens, name="pentagon")
 
 
-def interval_meet_is_trivial(space, b, d):
-    """Check [0,b] and [0,d] meet only in 0, via an exact LP."""
-    bound = tuple(min(p, q) for p, q in zip(embed(space, b), embed(space, d)))
+def box_max(space, bound, J):
+    """max of sum_{j in J} f_j(u) over 0 <= F u <= bound, by an exact LP."""
     rows, rhs = [], []
     for f, cap in zip(space.F, bound):
         rows.append(f)
         rhs.append(Fraction(0))
         rows.append(tuple(-e for e in f))
         rhs.append(-cap)
-    c = vec([sum(f[i] for f in space.F) for i in range(space.dim)])
+    c = vec([sum(space.F[j - 1][i] for j in J) for i in range(space.dim)])
     res = lp(c, Polyhedron(mat(rows), vec(rhs), space.dim))
     assert isinstance(res, Optimal)
-    return res.value == 0
+    return res.value
+
+
+def interval_meet_is_trivial(space, b, d):
+    """Check [0,b] and [0,d] meet only in 0, via an exact LP."""
+    bound = tuple(min(p, q) for p, q in zip(embed(space, b), embed(space, d)))
+    return box_max(space, bound, range(1, space.m + 1)) == 0
+
+
+def split_lp_is_discrete(space, x):
+    """Discreteness by split LPs, the oracle for the face rule of is_discrete.
+
+    For each split of supp(F x) into complementary nonempty parts J1, J2, an
+    LP asks whether some u in [0, x] has F u supported on each part; x is
+    discrete iff no split passes both.
+    """
+    img = embed(space, x)
+    supp = sorted(support(img))
+    k = len(supp)
+    realizable = {}
+
+    def part_realizable(J):
+        if J not in realizable:
+            bound = [img[j - 1] if j in J else 0 for j in range(1, space.m + 1)]
+            realizable[J] = box_max(space, bound, J) > 0
+        return realizable[J]
+
+    for mask in range(1, 1 << (k - 1)):
+        J1 = frozenset(supp[i] for i in range(k) if mask >> i & 1)
+        if part_realizable(J1) and part_realizable(frozenset(supp) - J1):
+            return False
+    return True
+
+
+def first_overlapping_atoms(space):
+    gens = space.generators
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if support(embed(space, gens[i])) & support(embed(space, gens[j])):
+                return gens[i], gens[j]
+    return None
 
 
 def test_atoms_frozen():
@@ -139,6 +180,27 @@ def test_atoms_are_discrete_everywhere():
     for sp in spaces:
         for a in atoms(sp):
             assert is_discrete(sp, a)
+
+
+def test_is_discrete_matches_split_lp_oracle():
+    rng = random.Random(40607)
+    for _ in range(10):
+        sp = random_space(rng)
+        gens = sp.generators
+        probes = list(gens) + [vadd(a, b) for a, b in combinations(gens, 2)]
+        probes += [random_positive(rng, sp) for _ in range(3)]
+        for x in probes:
+            assert is_discrete(sp, x) == split_lp_is_discrete(sp, x)
+
+
+def test_is_discrete_has_no_support_cap():
+    polygon = random_polygon_space(random.Random(40608), 16)
+    assert polygon.m == 16
+    # no two of a polygon's atoms have disjoint supports once m >= 5
+    assert is_discrete(polygon, vec(map(sum, zip(*polygon.generators))))
+    q16 = simplex(16)
+    assert not is_discrete(q16, vec([1] * 16))
+    assert is_discrete(q16, q16.generators[0])
 
 
 def test_discrete_iff_atom_in_pervasive_spaces():
@@ -193,12 +255,20 @@ def test_classify_invariants_random():
             assert cls.is_fordable
             assert cls.weakly_pervasive == Holds()
         else:
-            assert isinstance(cls.weakly_pervasive, (Violated, NoViolationFound))
-        if isinstance(cls.weakly_pervasive, Violated):
+            assert cls.weakly_pervasive == Violated(*first_overlapping_atoms(sp))
             b, d = cls.weakly_pervasive.b, cls.weakly_pervasive.d
             assert in_cone(sp, b) and in_cone(sp, d)
             assert not is_disjoint(sp, b, d)
             assert interval_meet_is_trivial(sp, b, d)
+
+
+def test_band_directedness_matches_double_description():
+    rng = random.Random(40609)
+    spaces = [four_ray(), pentagon()] + [random_space(rng) for _ in range(8)]
+    for sp in spaces:
+        bands = list(enumerate_bands(sp)) + [disjoint_complement(sp, [a]) for a in sp.generators]
+        for band in bands:
+            assert band.directed == is_directed_subspace(sp, band.carrier)
 
 
 def test_pervasive_witness_check_frozen():

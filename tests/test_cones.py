@@ -27,7 +27,7 @@ from ordercone.fixtures import (
     random_space,
     simplex,
 )
-from ordercone.linalg import dot, mat, mat_vec, primitive, rank, solve_linear, vec
+from ordercone.linalg import dot, mat, mat_vec, nullspace, primitive, rank, solve_linear, transpose, vec
 from ordercone.lp import upper_set_minima
 
 V1, V2, V3, V4 = (vec(g) for g in FOUR_RAY_GENERATORS)
@@ -35,7 +35,7 @@ V1, V2, V3, V4 = (vec(g) for g in FOUR_RAY_GENERATORS)
 
 def test_four_ray_roundtrip_from_generators():
     S = build_space(3, generators=mat(FOUR_RAY_GENERATORS))
-    assert set(S.cone.facets) == {primitive(vec(f)) for f in FOUR_RAY_FACETS}
+    assert set(S.F) == {primitive(vec(f)) for f in FOUR_RAY_FACETS}
     assert set(S.generators) == {vec(g) for g in FOUR_RAY_GENERATORS}
 
 
@@ -90,7 +90,7 @@ def test_four_ray_order_facts():
     assert embed(S, V2) == vec([0, 0, 2, 2])
     assert embed(S, V3) == vec([2, 0, 0, 2])
     assert embed(S, V4) == vec([2, 2, 0, 0])
-    assert S.completion.range_relations == (vec([1, -1, 1, -1]),)
+    assert nullspace(transpose(S.F)) == (vec([1, -1, 1, -1]),)  # the one relation on the range of F
     assert leq(S, V2, vec([0, 1, 2]))  # v2 <= v1 + v3
     assert not leq(S, V1, V2)
     assert in_cone(S, vec([0, 0, 1])) and not in_cone(S, vec([1, 1, 0]))
