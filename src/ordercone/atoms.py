@@ -23,16 +23,15 @@ from .bands import (
     atom_supports,
     band_of,
     disjoint_complement,
-    enumerate_bands,
+    enumerate_band_pairs,
     is_band,
-    is_directed_subspace,
     is_disjoint,
-    kernel_of_rows,
+    positive_generators,
     vanish_set,
 )
 from .cones import OrderedSpace, embed, in_cone, leq
-from .cover import modulus_dominates
 from .errors import (
+    CertificateError,
     NotABand,
     NotAtom,
     NotDirectSum,
@@ -117,17 +116,6 @@ class Classification:
     atom_count: int
 
 
-def _is_fordable(space: OrderedSpace) -> bool:
-    # Every singleton support must be realizable: some x with f_j(x) != 0 and
-    # all other rows zero.
-    full = set(range(1, space.m + 1))
-    for j in range(1, space.m + 1):
-        D = kernel_of_rows(space, full - {j})
-        if all(dot(space.F[j - 1], b) == 0 for b in D.basis):
-            return False
-    return True
-
-
 def _image_box(space: OrderedSpace, upper: Vec) -> tuple[list, list]:
     """Rows for 0 <= F u <= upper in u-space."""
     rows, rhs = [], []
@@ -157,8 +145,10 @@ def classify(space: OrderedSpace) -> Classification:
     """Lattice / pervasive / fordable / weakly-pervasive / RDP flags.
 
     In finite dimension the lattice, pervasive and RDP flags coincide and hold
-    exactly when the cone is simplicial.  Weak pervasiveness is decided on the
-    atoms' supports and is equivalent to them:
+    exactly when the cone is simplicial.  So does fordability: every e_j is in
+    the range of F iff F has rank m, and rank F = n for a pointed cone, so it
+    holds iff m = n, i.e. iff the cone is simplicial.  Weak pervasiveness is
+    decided on the atoms' supports and is equivalent to them:
     - two distinct atoms a, b with overlapping supports are not disjoint, yet
       [0,a] and [0,b] are segments on different rays and meet only in 0, so
       (a, b) violates weak pervasiveness;
@@ -174,7 +164,7 @@ def classify(space: OrderedSpace) -> Classification:
     return Classification(
         is_lattice=lattice,
         is_pervasive=lattice,
-        is_fordable=_is_fordable(space),
+        is_fordable=lattice,
         weakly_pervasive=Holds() if overlap is None else Violated(*overlap),
         has_rdp=lattice,
         atom_count=len(gens),
@@ -288,24 +278,26 @@ class ProjectionReport:
     matrix: Mat | None
 
 
-def is_projection_band(space: OrderedSpace, B: Band) -> ProjectionReport:
-    """Whether X = B + B^d directly; if so, build and verify the band projection.
+def _show(v: Vec) -> str:
+    return "[" + ", ".join(map(str, v)) + "]"
 
-    Distinct bands always meet their complement in 0, so the direct-sum test
-    is a dimension count.  The projection is checked idempotent and positive
-    together with its complement (positivity on the generators suffices for a
-    polyhedral cone).
+
+def _project(space: OrderedSpace, B, complement: Subspace) -> ProjectionReport:
+    """Build the projection onto the band B along `complement`, and check it.
+
+    No projection exists unless the dimensions add up to n.  Otherwise the
+    projection is the certificate: the two subspaces must meet only in 0, and
+    P must be idempotent and keep every atom g positive together with g - P g
+    (positivity on the generators suffices for a polyhedral cone).  A failed
+    check raises CertificateError.
     """
-    if not is_band(space, B):
-        raise NotABand("is_projection_band needs a band")
     carrier = B.carrier if isinstance(B, Band) else B
-    comp = disjoint_complement(space, carrier)
     n = space.dim
-    if carrier.dim + comp.carrier.dim != n:
+    if carrier.dim + complement.dim != n:
         return ProjectionReport(B, False, None)
-    cols = carrier.basis + comp.carrier.basis
-    Minv = invert(transpose(cols))
-    assert Minv is not None  # trivial intersection + full dimension count
+    Minv = invert(transpose(carrier.basis + complement.basis))
+    if Minv is None:
+        raise CertificateError("band and complement of complementary dimensions meet outside 0")
     k = carrier.dim
     # P = (columns of the B-basis) . (first k rows of M^{-1})
     P = tuple(
@@ -319,21 +311,35 @@ def is_projection_band(space: OrderedSpace, B: Band) -> ProjectionReport:
         tuple(sum((P[r][t] * P[t][c] for t in range(n)), start=ZERO) for c in range(n))
         for r in range(n)
     )
-    assert P2 == P  # idempotent
+    if P2 != P:
+        raise CertificateError("band projection is not idempotent")
     for g in space.generators:
-        assert in_cone(space, mat_vec(P, g))
-        assert in_cone(space, vsub(g, mat_vec(P, g)))
+        Pg = mat_vec(P, g)
+        if not (in_cone(space, Pg) and in_cone(space, vsub(g, Pg))):
+            raise CertificateError(f"band projection does not split the atom {_show(g)} positively")
     return ProjectionReport(B, True, P)
 
 
+def is_projection_band(space: OrderedSpace, B: Band) -> ProjectionReport:
+    """Whether X = B + B^d directly; if so, build and verify the band projection.
+
+    Distinct bands always meet their complement in 0, so the direct-sum test
+    is a dimension count.
+    """
+    if not is_band(space, B):
+        raise NotABand("is_projection_band needs a band")
+    carrier = B.carrier if isinstance(B, Band) else B
+    return _project(space, B, disjoint_complement(space, carrier).carrier)
+
+
 def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP):
-    """One report per projection band; the trivial pair {0, X} always appears."""
-    reports = []
-    for band in enumerate_bands(space, cap=cap):
-        rep = is_projection_band(space, band)
-        if rep.is_projection_band:
-            reports.append(rep)
-    return tuple(reports)
+    """One report per projection band; the trivial pair {0, X} always appears.
+
+    Each band comes with its complement from the band enumeration, so only
+    the projection itself is built and checked.
+    """
+    reports = (_project(space, band, comp.carrier) for band, comp in enumerate_band_pairs(space, cap))
+    return tuple(rep for rep in reports if rep.is_projection_band)
 
 
 # --- Riesz decomposition probes ----------------------------------------------
@@ -396,58 +402,61 @@ def _is_coordinate_ideal(space: OrderedSpace, D: Subspace) -> bool:
     return canonical_subspace_basis(inside, space.dim) == D.basis
 
 
-def _solidity_witness(space: OrderedSpace, D: Subspace):
-    """Sampled falsification of solidity: x dominated by some d in D, x outside D."""
-    samples = list(D.basis)
-    for i in range(len(D.basis)):
-        for j in range(i + 1, len(D.basis)):
-            samples.append(vadd(D.basis[i], D.basis[j]))
-    candidates = list(space.generators) + [
-        vadd(a, b) for i, a in enumerate(space.generators) for b in space.generators[i + 1 :]
-    ]
-    for d in samples:
-        for x in candidates:
-            if not D.contains(x) and modulus_dominates(space, x, d):
-                return x, d
-    return None
+def _not_an_ideal(space: OrderedSpace, S: Subspace, label: str) -> str:
+    """Why S, in a simplicial space and not a span of atoms, is no ideal.
+
+    If S is directed, d = the sum of the generators of S ∩ K is a positive
+    element of S whose support holds that of every positive element of S.
+    Each generator is a positive sum of atoms with supports inside supp(F d),
+    so S lies in the span of those atoms, and one of them, g, lies outside
+    S.  Then x = lambda*g with lambda = min (F d)_j / (F g)_j over supp(F g)
+    has 0 <= F x <= F d: |x| is dominated by d, yet x is not in S, so S is
+    not solid.
+    """
+    gens = positive_generators(space, S)
+    if rank(gens) < S.dim:
+        return f"{label} is not directed"
+    d = tuple(sum(coords, start=ZERO) for coords in zip(*gens))
+    Fd = embed(space, d)
+    outside = (
+        g
+        for g, s in zip(space.generators, atom_supports(space))
+        if s <= support(Fd) and not S.contains(g)
+    )
+    g = next(outside, None)
+    if g is None:
+        raise CertificateError(f"{label} is directed, not a span of atoms, yet has no solidity witness")
+    Fg = embed(space, g)
+    lam = min(Fd[j - 1] / Fg[j - 1] for j in support(Fg))
+    x = vscale(lam, g)
+    return f"{label} is not solid (modulus of {_show(x)} is dominated by {_show(d)})"
 
 
 def check_ideal_decomposition(space: OrderedSpace, B: Subspace, D: Subspace):
     """Validate a claimed direct decomposition X = B + D against the band laws.
 
-    Raises when the sum is not direct.  With the hypotheses of one of the two
-    decomposition guarantees satisfied (pervasive with coordinate ideals, or a
-    weakly pervasive space with directed sampled-solid ideals), asserts that
-    D is the disjoint complement of B and that B projects; otherwise reports
-    which hypothesis failed.
+    Raises NotDirectSum when the sum is not direct.  The decomposition
+    guarantee needs a pervasive space, i.e. a simplicial cone (weak
+    pervasiveness is equivalent here), with B and D ideals.  In a
+    finite-dimensional vector lattice the ideals (directed solid subspaces)
+    are exactly the spans of sets of atoms.  When B and D are such spans, D
+    is checked to be the disjoint complement of B and B to project;
+    otherwise the failing hypothesis is reported, with a solidity witness
+    where it applies.
     """
     n = space.dim
     if B.dim + D.dim != n or rank(B.basis + D.basis) != n:
         raise NotDirectSum(f"dim {B.dim} + {D.dim} with combined rank {rank(B.basis + D.basis)}")
-    cls = classify(space)
-
-    def directed_ideal(S: Subspace, label: str):
-        if not is_directed_subspace(space, S):
-            return f"{label} is not directed"
-        w = _solidity_witness(space, S)
-        if w is not None:
-            return f"{label} is not solid (modulus of {w[0]} is dominated by {w[1]})"
-        return None
-
-    if cls.is_pervasive and _is_coordinate_ideal(space, B) and _is_coordinate_ideal(space, D):
-        tier = "pervasive-coordinate-ideals"
-    elif not isinstance(cls.weakly_pervasive, Holds):
+    if not _is_simplicial(space):
         return HypothesesNotMet("space is not weakly pervasive")
-    else:
-        bad = directed_ideal(B, "B") or directed_ideal(D, "D")
-        if bad:
-            return HypothesesNotMet(bad)
-        tier = "weakly-pervasive-directed-ideals"
+    for S, label in ((B, "B"), (D, "D")):
+        if not _is_coordinate_ideal(space, S):
+            return HypothesesNotMet(_not_an_ideal(space, S, label))
 
-    comp = disjoint_complement(space, B)
-    matches = comp.carrier.basis == D.basis
-    assert matches, "decomposition guarantee violated: D != B^d under satisfied hypotheses"
-    target = Band(B, vanish_set(space, B), is_directed_subspace(space, B))
-    report = is_projection_band(space, target)
-    assert report.is_projection_band
-    return DecompositionConfirmed(tier, matches, report)
+    if disjoint_complement(space, B).carrier.basis != D.basis:
+        raise CertificateError("decomposition guarantee violated: D != B^d for spans of atoms")
+    # B is a span of atoms, hence directed.
+    report = is_projection_band(space, Band(B, vanish_set(space, B), True))
+    if not report.is_projection_band:
+        raise CertificateError("decomposition guarantee violated: B is not a projection band")
+    return DecompositionConfirmed("pervasive-coordinate-ideals", True, report)

@@ -3,7 +3,8 @@
 In the coordinatewise cover two images are disjoint exactly when their
 supports are, so every disjoint complement is the kernel of a set of facet
 rows.  That makes the whole band calculus finite: bands are the fixed points
-of the double complement among the 2^m row-kernels.
+of the double complement among the row kernels, and the row kernels are the
+kernels ker F_L of the flats L of the facet rows' matroid.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .errors import CapExceeded, ParseError
 from .linalg import (
     Mat,
     Vec,
+    ZERO,
     canonical_subspace_basis,
     dot,
     in_span,
@@ -102,7 +104,7 @@ def union_support(space: OrderedSpace, vectors) -> frozenset[int]:
 
 def atom_supports(space: OrderedSpace) -> tuple[frozenset[int], ...]:
     """supp(F g) for each atom g, in generator order: the atoms' facet images."""
-    return tuple(support(embed(space, g)) for g in space.generators)
+    return space.atom_supports
 
 
 def kernel_of_rows(space: OrderedSpace, J) -> Subspace:
@@ -136,7 +138,7 @@ def disjoint_complement(space: OrderedSpace, M) -> Band:
     """
     J = union_support(space, _as_vectors(space, M))
     carrier = kernel_of_rows(space, J)
-    return Band(carrier, J, _kernel_is_directed(space, atom_supports(space), J, carrier))
+    return Band(carrier, J, _kernel_is_directed(space, J, carrier))
 
 
 def band_of(space: OrderedSpace, a: Vec) -> Band:
@@ -152,7 +154,7 @@ def is_band(space: OrderedSpace, D) -> bool:
     return dd.carrier.basis == D.basis
 
 
-def _kernel_is_directed(space: OrderedSpace, supports, J, carrier: Subspace) -> bool:
+def _kernel_is_directed(space: OrderedSpace, J, carrier: Subspace) -> bool:
     """Whether the row kernel carrier = ker(F_J) is directed.
 
     Every f_j is >= 0 on K, so K meets ker(F_J) in a face of K, and a face of
@@ -160,63 +162,111 @@ def _kernel_is_directed(space: OrderedSpace, supports, J, carrier: Subspace) -> 
     atoms whose supports miss J.  The carrier is spanned by its positive part
     iff those atoms have rank carrier.dim.
     """
-    inside = tuple(g for g, s in zip(space.generators, supports) if not s & J)
+    inside = tuple(g for g, s in zip(space.generators, space.atom_supports) if not s & J)
     return rank(inside) == carrier.dim
+
+
+def positive_generators(space: OrderedSpace, D: Subspace) -> tuple[Vec, ...]:
+    """Generators of the cone D ∩ K, for an arbitrary subspace D.
+
+    Double description of {c : sum c_i b_i in K} in coefficient space, over
+    the basis b of D; the rays are mapped back into D.
+    """
+    if D.dim == 0:
+        return ()
+    FB = mat([[dot(f, b) for b in D.basis] for f in space.F])
+    return tuple(
+        tuple(sum((c_i * b[k] for c_i, b in zip(c, D.basis)), start=ZERO) for k in range(space.dim))
+        for c in extreme_rays(FB)
+    )
 
 
 def is_directed_subspace(space: OrderedSpace, D: Subspace) -> bool:
     """Whether an arbitrary subspace D is spanned by D's own positive part.
 
-    Double description of {c : sum c_i b_i in K} in coefficient space; D is
-    directed iff those rays span all of D.  Row kernels, and so all bands, take
-    the face route of `_kernel_is_directed` instead.
+    Row kernels, and so all bands, take the face route of
+    `_kernel_is_directed` instead.
     """
-    d = D.dim
-    if d == 0:
-        return True
-    FB = mat([[dot(f, b) for b in D.basis] for f in space.F])
-    rays = extreme_rays(FB)
-    return rank(rays) == d
+    return rank(positive_generators(space, D)) == D.dim
 
 
-def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Band, ...]:
-    """All bands, as the double-complement fixed points among row kernels.
+def _flats(space: OrderedSpace):
+    """Every flat of the facet rows' matroid with its row kernel, and its covers.
 
-    Every disjoint complement is a row kernel, so every band is one too; the
-    2^m sweep is exhaustive.  Output is deduplicated by carrier and ordered
-    by (dimension, basis).  Zero sets are reported maximal.
+    A flat is a set L of rows closed under linear dependence: L holds every
+    row that vanishes on ker F_L.  Restricted to ker F_L, a row j outside L is
+    a nonzero functional, and cl(L + j) adds to L exactly the rows whose
+    restrictions are multiples of row j's: on the hyperplane of ker F_L that
+    row j cuts out, a functional vanishes iff it is a multiple of row j there.
+    So the rows outside L fall into parallel classes, one per flat covering L.
+
+    Close-by-one, the depth-first form of Ganter's NextClosure (1984), keeps
+    the cover cl(L + j) only when j is the least row it adds, so each flat is
+    visited, and its kernel computed, once.  Returns the kernels by flat and,
+    for each flat L, the map from each row j outside L to cl(L + j).
+    """
+    kernels: dict[frozenset[int], Subspace] = {}
+    covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
+    todo = [(frozenset(), 1)]  # facet rows are nonzero, so no row vanishes on Q^n
+    while todo:
+        L, start = todo.pop()
+        K = kernels[L] = kernel_of_rows(space, L)
+        classes: dict[Vec, set[int]] = {}
+        for j in range(1, space.m + 1):
+            if j not in L:
+                r = tuple(dot(space.F[j - 1], b) for b in K.basis)
+                lead = next(e for e in r if e != 0)
+                classes.setdefault(tuple(e / lead for e in r), set()).add(j)
+        up = covers[L] = {}
+        for cls in classes.values():
+            cover = L | cls
+            for j in cls:
+                up[j] = cover
+            if min(cls) >= start:
+                todo.append((cover, min(cls) + 1))
+    return kernels, covers
+
+
+def enumerate_band_pairs(
+    space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[tuple[Band, Band], ...]:
+    """Every band with its disjoint complement, ordered by (dimension, basis).
+
+    Every disjoint complement is a row kernel, so every band is one too: the
+    kernel of a flat L, whose images have support [m] - L.  Its complement is
+    the kernel of cl([m] - L), and it is a band iff the complement of that is
+    it again: cl([m] - cl([m] - L)) = L.  Closures are walks up the covers,
+    and zero sets are reported maximal (they are the flats).
     """
     m = space.m
     if m > cap:
-        raise CapExceeded(f"band enumeration over 2^{m} subsets exceeds cap {cap}")
-    kernels: dict[frozenset[int], Subspace] = {}
-    supports: dict[Mat, frozenset[int]] = {}
+        raise CapExceeded(f"band enumeration refuses {m} facets, more than the cap {cap}")
+    kernels, covers = _flats(space)
+    full = frozenset(range(1, m + 1))
 
-    def kern(J: frozenset[int]) -> Subspace:
-        if J not in kernels:
-            kernels[J] = kernel_of_rows(space, J)
-        return kernels[J]
+    def closure(S: frozenset[int]) -> frozenset[int]:
+        C = frozenset()
+        for j in S:
+            if j not in C:
+                C = covers[C][j]
+        return C
 
-    def supp(D: Subspace) -> frozenset[int]:
-        if D.basis not in supports:
-            supports[D.basis] = union_support(space, D.basis)
-        return supports[D.basis]
+    complement = {L: closure(full - L) for L in kernels}
+    bands = {
+        L: Band(K, L, _kernel_is_directed(space, L, K))
+        for L, K in kernels.items()
+        if complement[complement[L]] == L
+    }
+    pairs = ((band, bands[complement[L]]) for L, band in bands.items())
+    return tuple(sorted(pairs, key=lambda p: (p[0].carrier.dim, p[0].carrier.basis)))
 
-    atom_supp = atom_supports(space)
-    seen: dict[Mat, Band] = {}
-    for mask in range(1 << m):
-        J = frozenset(j + 1 for j in range(m) if mask >> j & 1)
-        carrier = kern(J)
-        if carrier.basis in seen:
-            continue
-        complement = kern(supp(carrier))
-        dd = kern(supp(complement))
-        if dd.basis != carrier.basis:
-            continue
-        full = frozenset(range(1, m + 1))
-        band = Band(carrier, full - supp(carrier), _kernel_is_directed(space, atom_supp, J, carrier))
-        seen[carrier.basis] = band
-    return tuple(sorted(seen.values(), key=lambda b: (b.carrier.dim, b.carrier.basis)))
+
+def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Band, ...]:
+    """All bands, ordered by (dimension, basis), with maximal zero sets.
+
+    Refuses spaces with more than `cap` facets (CapExceeded).
+    """
+    return tuple(band for band, _ in enumerate_band_pairs(space, cap))
 
 
 def principal_ideal_member(space: OrderedSpace, x: Vec, a: Vec) -> bool:

@@ -9,7 +9,7 @@ finite arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotGenerating, NotPointed, ParseError
@@ -24,6 +24,7 @@ from .linalg import (
     primitive,
     rank,
     solve_linear,
+    support,
     transpose,
     vec,
     vmax,
@@ -76,13 +77,17 @@ def extreme_rays(A: Mat) -> tuple[Vec, ...]:
 class OrderedSpace:
     """Q^dim ordered by a cone, given by its extreme rays and its facet rows.
 
-    The facet matrix F doubles as the embedding into Q^m.
+    The facet matrix F doubles as the embedding into Q^m.  `atom_supports`
+    holds supp(F g) for each generator g, in generator order: which atoms lie
+    in which face.  It is derived from the two fields before it, so it takes
+    no part in equality or repr.
     """
 
     name: str
     dim: int
     generators: Mat
     F: Mat
+    atom_supports: tuple[frozenset[int], ...] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -154,11 +159,12 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
         face = face if set(face) == set(irred) else irred
         gens = canon_gens
 
-    for g in gens:  # cross-check both representations agree
-        if any(dot(f, g) < 0 for f in face):
-            raise ParseError("internal representation mismatch")
+    images = [mat_vec(face, g) for g in gens]
+    if any(e < 0 for image in images for e in image):  # cross-check both representations agree
+        raise ParseError("internal representation mismatch")
 
-    return OrderedSpace(name=name, dim=dim, generators=gens, F=face)
+    supports = tuple(support(image) for image in images)
+    return OrderedSpace(name=name, dim=dim, generators=gens, F=face, atom_supports=supports)
 
 
 def leq(space: OrderedSpace, x: Vec, y: Vec) -> bool:

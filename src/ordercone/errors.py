@@ -47,6 +47,10 @@ class CapExceeded(OrderConeError):
     """An exponential enumeration would exceed the configured cap."""
 
 
+class CertificateError(OrderConeError):
+    """A computed answer failed the check that certifies it (a library fault)."""
+
+
 class UnknownBuiltin(ParseError):
     """A builtin space name that the dispatcher does not recognize."""
 

@@ -1,11 +1,16 @@
 """Atoms, discreteness, classification, decompositions, and projections."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import ordercone
 from ordercone.atoms import (
     AtomDecomposition,
     Classification,
@@ -44,7 +49,7 @@ from ordercone.bands import (
     vanish_set,
 )
 from ordercone.cones import build_space, embed, in_cone, leq
-from ordercone.cover import is_majorizing
+from ordercone.cover import is_majorizing, modulus_dominates
 from ordercone.errors import (
     NotABand,
     NotAtom,
@@ -562,6 +567,51 @@ def test_check_ideal_decomposition_frozen():
         check_ideal_decomposition(
             q2, subspace(2, [vec((1, 0))]), subspace(2, [vec((2, 0))])
         )
+
+
+def test_check_ideal_decomposition_witnesses_non_solid_lines():
+    # every atom image is 3 e_j, while F(1,1) = (1,1): a witness must be scaled
+    sp = build_space(2, generators=[vec((2, 1)), vec((1, 2))])
+    diag, atom = subspace(2, [vec((1, 1))]), subspace(2, [vec((2, 1))])
+    res = check_ideal_decomposition(sp, diag, atom)
+    assert res == HypothesesNotMet("B is not solid (modulus of [2/3, 1/3] is dominated by [1, 1])")
+    x, d = vec((Fraction(2, 3), Fraction(1, 3))), vec((1, 1))
+    assert modulus_dominates(sp, x, d) and not diag.contains(x)
+    res = check_ideal_decomposition(sp, atom, diag)
+    assert res == HypothesesNotMet("D is not solid (modulus of [2/3, 1/3] is dominated by [1, 1])")
+    q2 = simplex(2)
+    res = check_ideal_decomposition(q2, subspace(2, [vec((1, 0))]), subspace(2, [vec((1, -1))]))
+    assert res == HypothesesNotMet("D is not directed")
+
+
+def test_projection_certificate_survives_optimize():
+    """Under python -O a wrong complement still fails the projection's checks."""
+    script = "\n".join(
+        [
+            "from ordercone.atoms import _project",
+            "from ordercone.bands import band_of, subspace",
+            "from ordercone.errors import CertificateError",
+            "from ordercone.fixtures import simplex",
+            "from ordercone.linalg import vec",
+            "assert False, 'asserts must be stripped'",
+            "sp = simplex(2)",
+            "band = band_of(sp, vec((1, 0)))",
+            "for wrong in ([vec((1, 1))], [vec((1, 0))]):",
+            "    try:",
+            "        _project(sp, band, subspace(2, wrong))",
+            "    except CertificateError as exc:",
+            "        print('CertificateError:', exc)",
+            "    else:",
+            "        raise SystemExit('no CertificateError')",
+        ]
+    )
+    src = str(Path(ordercone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("CertificateError:") == 2
 
 
 def test_check_ideal_decomposition_accepts_coordinate_splits():

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from ordercone.atoms import enumerate_order_projections, is_projection_band
 from ordercone.bands import (
     Band,
     Subspace,
@@ -25,7 +26,7 @@ from ordercone.bands import (
     union_support,
     vanish_set,
 )
-from ordercone.cones import embed, sup_in_X
+from ordercone.cones import build_space, embed, sup_in_X
 from ordercone.errors import CapExceeded, ParseError
 from ordercone.fixtures import (
     four_ray,
@@ -315,3 +316,46 @@ def test_vanish_set_matches_zero_sets():
     v1 = sp.generators[0]
     assert vanish_set(sp, line(v1)) == frozenset({1, 4})
     assert vanish_set(sp, full_space(3)) == frozenset()
+
+
+def sweep_bands(space):
+    """The 2^m subset sweep that enumerate_bands replaced, kept as its oracle.
+
+    Every row kernel is visited, and kept when it is its own double
+    complement; `directed` comes from double description.
+    """
+    full = frozenset(range(1, space.m + 1))
+    seen = {}
+    for mask in range(1 << space.m):
+        J = frozenset(j + 1 for j in range(space.m) if mask >> j & 1)
+        carrier = kernel_of_rows(space, J)
+        if carrier.basis in seen:
+            continue
+        supp = union_support(space, carrier.basis)
+        complement = kernel_of_rows(space, supp)
+        if kernel_of_rows(space, union_support(space, complement.basis)).basis != carrier.basis:
+            continue
+        seen[carrier.basis] = Band(carrier, full - supp, is_directed_subspace(space, carrier))
+    return tuple(sorted(seen.values(), key=lambda b: (b.carrier.dim, b.carrier.basis)))
+
+
+def oracle_spaces():
+    rng = random.Random(30508)
+    pentagon = build_space(3, generators=[vec((k, k * k, 1)) for k in (-2, -1, 0, 1, 2)], name="pentagon")
+    return (
+        [four_ray(), pentagon]
+        + [simplex(n) for n in range(1, 6)]
+        + [random_space(rng) for _ in range(10)]
+    )
+
+
+def test_enumerate_bands_equals_subset_sweep():
+    for sp in oracle_spaces():
+        assert enumerate_bands(sp) == sweep_bands(sp), sp.name
+
+
+def test_order_projections_match_is_projection_band():
+    for sp in oracle_spaces():
+        reports = (is_projection_band(sp, band) for band in enumerate_bands(sp))
+        expected = tuple(rep for rep in reports if rep.is_projection_band)
+        assert enumerate_order_projections(sp) == expected, sp.name

@@ -206,6 +206,17 @@ def test_space_files(tmp_path, capsys):
     assert code == 1 and "NotGenerating" in err
 
 
+def test_dcomp_check_reports_non_solid_line(tmp_path, capsys):
+    cone = tmp_path / "s.json"
+    cone.write_text('{"dim": 2, "generators": [[2, 1], [1, 2]]}')
+    argv = ["dcomp", "--space", str(cone), "[1,1]", "--check", "[[2,1]]", "--json"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["idealCheck"] == {
+        "hypothesesNotMet": "B is not solid (modulus of [2/3, 1/3] is dominated by [1, 1])"
+    }
+
+
 def test_parse_space_source_builtins():
     assert parse_space_source("four-ray").m == 4
     assert parse_space_source("simplex:3").dim == 3
