@@ -116,26 +116,6 @@ class Classification:
     atom_count: int
 
 
-def _image_box(space: OrderedSpace, upper: Vec) -> tuple[list, list]:
-    """Rows for 0 <= F u <= upper in u-space."""
-    rows, rhs = [], []
-    for f, cap in zip(space.F, upper):
-        rows.append(f)
-        rhs.append(ZERO)
-        rows.append(tuple(-e for e in f))
-        rhs.append(-cap)
-    return rows, rhs
-
-
-def _order_interval_probe(space: OrderedSpace, bound: Vec):
-    """max of the image coordinate sum over {x : 0 <= F x <= bound}."""
-    rows, rhs = _image_box(space, bound)
-    c = [sum(f[i] for f in space.F) for i in range(space.dim)]
-    res = lp(vec(c), Polyhedron(mat(rows), vec(rhs), space.dim))
-    assert isinstance(res, Optimal)
-    return res
-
-
 def _is_simplicial(space: OrderedSpace) -> bool:
     """As many atoms as dimensions; the atoms span Q^n, so they are a basis."""
     return len(space.generators) == space.dim
@@ -190,25 +170,31 @@ def pervasive_witness_check(space: OrderedSpace, b: Vec):
     """Look for 0 < x <= (b joined with 0) in the cover, per the pervasive test.
 
     Inapplicable when the join is 0 (b <= 0); NoWitness certifies that this b
-    falsifies pervasiveness.
+    falsifies pervasiveness.  Let p = max(F b, 0).  A witness exists iff some
+    atom g has supp(F g) inside supp(p), and then x = lambda*g with lambda the
+    minimum of p_j / (F g)_j over supp(F g) is one (the first such atom is
+    taken): 0 <= F x <= p and x != 0.  Conversely, a witness x > 0 is a
+    positive sum of atoms, and each atom g in that sum has supp(F g) inside
+    supp(F x), which lies inside supp(p) because F x <= p.
     """
     p = tuple(max(e, ZERO) for e in embed(space, b))
     if all(e == 0 for e in p):
         return Inapplicable()
-    res = _order_interval_probe(space, p)
-    if res.value > 0:
-        return Witness(res.point)
+    inside = support(p)
+    for g, s in zip(space.generators, atom_supports(space)):
+        if s <= inside:
+            Fg = embed(space, g)
+            return Witness(vscale(min(p[j - 1] / Fg[j - 1] for j in s), g))
     return NoWitness()
 
 
 # --- atomic scaling coefficient and decomposition ----------------------------
 
 
-def atom_lambda(space: OrderedSpace, x: Vec, a: Vec, cross_check: bool = True) -> Fraction:
+def atom_lambda(space: OrderedSpace, x: Vec, a: Vec) -> Fraction:
     """The greatest lambda with lambda*a <= x, for an atom a and x >= 0.
 
     Closed form: the minimum of f_j(x)/f_j(a) over rows with f_j(a) > 0.
-    Optionally cross-checked against the one-variable LP max{mu : F(x - mu a) >= 0}.
     Zero exactly when x and a are disjoint.
     """
     if not _is_simplicial(space):
@@ -217,16 +203,7 @@ def atom_lambda(space: OrderedSpace, x: Vec, a: Vec, cross_check: bool = True) -
         raise NotAtom("a must generate an extreme ray")
     if not in_cone(space, x):
         raise NotPositive("x must be in the cone")
-    ratios = [dot(f, x) / dot(f, a) for f in space.F if dot(f, a) > 0]
-    lam = min(ratios)
-    if cross_check:
-        ia = embed(space, a)
-        ix = embed(space, x)
-        rows = mat([[-e] for e in ia])
-        rhs = vec([-e for e in ix])
-        res = lp(vec([1]), Polyhedron(rows, rhs, 1))
-        assert isinstance(res, Optimal) and res.value == lam
-    return lam
+    return min(dot(f, x) / dot(f, a) for f in space.F if dot(f, a) > 0)
 
 
 @dataclass(frozen=True)
@@ -264,7 +241,8 @@ def decompose_by_atom(space: OrderedSpace, x: Vec, a: Vec):
     lam = coeffs[0]
     atom_part = vscale(lam, a)
     w = vsub(x, atom_part)
-    assert is_disjoint(space, atom_part, w)
+    if not is_disjoint(space, atom_part, w):
+        raise CertificateError(f"the parts {_show(atom_part)} and {_show(w)} of x are not disjoint")
     return AtomDecomposition(lam, atom_part, w)
 
 
@@ -293,25 +271,17 @@ def _project(space: OrderedSpace, B, complement: Subspace) -> ProjectionReport:
     """
     carrier = B.carrier if isinstance(B, Band) else B
     n = space.dim
-    if carrier.dim + complement.dim != n:
+    k = carrier.dim
+    if k + complement.dim != n:
         return ProjectionReport(B, False, None)
-    Minv = invert(transpose(carrier.basis + complement.basis))
+    M = transpose(carrier.basis + complement.basis)
+    Minv = invert(M)
     if Minv is None:
         raise CertificateError("band and complement of complementary dimensions meet outside 0")
-    k = carrier.dim
-    # P = (columns of the B-basis) . (first k rows of M^{-1})
-    P = tuple(
-        tuple(
-            sum((carrier.basis[t][r] * Minv[t][c] for t in range(k)), start=ZERO)
-            for c in range(n)
-        )
-        for r in range(n)
-    )
-    P2 = tuple(
-        tuple(sum((P[r][t] * P[t][c] for t in range(n)), start=ZERO) for c in range(n))
-        for r in range(n)
-    )
-    if P2 != P:
+    # Column c of P = M (first k coordinates of column c of M^{-1}, the rest 0).
+    cols = tuple(mat_vec(M, col[:k] + zero_vec(n - k)) for col in transpose(Minv))
+    P = transpose(cols)
+    if tuple(mat_vec(P, col) for col in cols) != cols:
         raise CertificateError("band projection is not idempotent")
     for g in space.generators:
         Pg = mat_vec(P, g)
@@ -376,7 +346,8 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     res = lp(zero_vec(space.dim), Polyhedron(mat(rows), vec(rhs), space.dim))
     if isinstance(res, Infeasible):
         return NoSplit()
-    assert isinstance(res, Optimal)
+    if not isinstance(res, Optimal):
+        raise ArithmeticError(f"the split LP has a zero objective, yet came back {res}")
     z1 = res.point
     return Split(z1, vsub(z, z1))
 

@@ -273,17 +273,19 @@ def principal_ideal_member(space: OrderedSpace, x: Vec, a: Vec) -> bool:
     """Whether x lies in the principal ideal of a (some scaling of |a| solidly
     dominates |x|).
 
-    Scaling multiplies the tightened modulus of a, so membership only asks
-    that |F x| vanish wherever min{f_j(z) : F z >= |F a|} is zero.
+    Scaling multiplies the tightened modulus of a, so membership asks that
+    |F x| vanish wherever min{f_j(z) : F z >= |F a|} is zero.  For j outside
+    supp(F a) that minimum is zero iff supp(F a) lies in the union U_j of
+    supp(F g) over the atoms g with f_j(g) = 0.  A z in K with f_j(z) = 0 lies
+    in the face K ∩ ker f_j, which those atoms generate, so supp(F z) lies in
+    U_j; and F z >= |F a| puts supp(F a) inside supp(F z).  Conversely, a
+    large multiple of the sum of those atoms is such a z when supp(F a) lies
+    in U_j.  So x is no member iff this holds for some j in supp(F x) outside
+    supp(F a).
     """
-    wa = vabs(embed(space, a))
-    wx = vabs(embed(space, x))
-    for j in range(space.m):
-        if wx[j] == 0:
-            continue
-        if wa[j] > 0:
-            continue
-        if upper_set_min(space.F, wa, j) == 0:
+    fa = support(embed(space, a))
+    for j in support(embed(space, x)) - fa:
+        if fa <= frozenset().union(*(s for s in space.atom_supports if j not in s)):
             return False
     return True
 

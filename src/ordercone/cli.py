@@ -21,7 +21,6 @@ from .atoms import (
     AtomDecomposition,
     DecompositionConfirmed,
     Holds,
-    Inapplicable,
     NoWitness,
     Split,
     Witness,
@@ -52,7 +51,7 @@ from .bands import (
     subspace,
     vanish_set,
 )
-from .cones import OrderedSpace, build_space, embed, leq, sup_in_X, upper_bound_polyhedron
+from .cones import OrderedSpace, build_space, leq, sup_in_X, upper_bound_polyhedron
 from .cover import cover_modulus, is_majorizing, modulus_dominates, order_density_at, tighten
 from .errors import OrderConeError, ParseError
 from .fixtures import builtin_space

@@ -115,27 +115,38 @@ def primitive(v: Vec) -> Vec:
     return tuple(Fraction(k // g) for k in ints)
 
 
+def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step on T in place.
+
+    Scales row r so that T[r][c] = 1, then clears column c from every other
+    row.  Every exact elimination in the package, `rref` and the simplex
+    tableaus, is a sequence of these steps.
+    """
+    row = T[r]
+    piv = row[c]
+    if piv != 1:
+        row = T[r] = [e / piv for e in row]
+    for i, other in enumerate(T):
+        f = other[c]
+        if i != r and f != 0:
+            T[i] = [e - f * p for e, p in zip(other, row)]
+
+
 def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     rows = [list(r) for r in M]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [e / piv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        _pivot(rows, r, c)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if len(pivots) == nrows:
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
@@ -206,17 +217,12 @@ def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:
 
 
 def independent_subset(rows: Mat) -> tuple[int, ...]:
-    """Indices of the greedy (first-wins) maximal independent subset of rows."""
-    kept: list[int] = []
-    staged: tuple[Vec, ...] = ()
-    r = 0
-    for i, row in enumerate(rows):
-        cand = staged + (row,)
-        if rank(cand) > r:
-            kept.append(i)
-            staged = cand
-            r += 1
-    return tuple(kept)
+    """Indices of the greedy (first-wins) maximal independent subset of rows.
+
+    Row i is kept iff it is not in the span of rows 0..i-1, i.e. iff column i
+    of the transpose is a pivot column.
+    """
+    return rref(transpose(rows))[1]
 
 
 def in_span(vectors: Mat, x: Vec, n: int) -> bool:

@@ -1,7 +1,9 @@
 """Exact linear programming over the rationals.
 
 Two-phase primal simplex with Bland's rule, so every run terminates and the
-reported optimum is exact.  Problems are tiny here (tens of variables), which
+reported optimum is exact.  One dense tableau over Fraction is carried through
+phase 1, the purge of artificials still basic at zero, and phase 2; every
+pivot is `linalg._pivot`.  Problems are tiny here (tens of variables), which
 makes dense tableaus over Fraction the right trade.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Vec, ZERO, dot, rank, transpose, vsub, zero_vec
+from .linalg import Mat, Vec, ZERO, _pivot, dot, independent_subset, transpose, vsub, zero_vec
 
 
 @dataclass(frozen=True)
@@ -48,31 +50,15 @@ class Infeasible:
 LPResult = Optimal | Unbounded | Infeasible
 
 
-def simplex_standard(A: Mat, b: Vec, c: Vec, basis: list[int]):
-    """max c.x s.t. A x = b, x >= 0, warm-started from a feasible basis.
+def _simplex(T: list[list[Fraction]], basis: list[int], c: Vec):
+    """Bland's loop, in place, on a tableau reduced on `basis`.
 
-    The basis columns must be invertible and the corresponding basic solution
-    nonnegative.  Returns ('optimal', value, x, basis) or ('unbounded',).
+    Row i of T owns basis[i]: it holds the identity in that column, and its
+    last entry, the basic value, is nonnegative.  Columns past len(c) are
+    ignored.  Returns ('optimal', value, x, basis) or ('unbounded',).
     """
-    k = len(A)
-    N = len(A[0]) if A else 0
-    T = [list(row) + [bv] for row, bv in zip(A, b, strict=True)]
-    basis = list(basis)
-
-    # Reduce so that basis column i is the i-th identity column.
-    for i, col in enumerate(basis):
-        r = next(r for r in range(i, k) if T[r][col] != 0)
-        T[i], T[r] = T[r], T[i]
-        piv = T[i][col]
-        if piv != 1:
-            T[i] = [e / piv for e in T[i]]
-        for r in range(k):
-            if r != i and T[r][col] != 0:
-                f = T[r][col]
-                T[r] = [e - f * p for e, p in zip(T[r], T[i])]
-    if any(T[i][N] < 0 for i in range(k)):
-        raise ValueError("warm-start basis is not primal feasible")
-
+    k = len(T)
+    N = len(c)
     in_basis = set(basis)
     while True:
         cb = [c[j] for j in basis]
@@ -87,7 +73,7 @@ def simplex_standard(A: Mat, b: Vec, c: Vec, basis: list[int]):
         if entering < 0:
             x = list(zero_vec(N))
             for i, col in enumerate(basis):
-                x[col] = T[i][N]
+                x[col] = T[i][-1]
             value = sum((c[j] * x[j] for j in in_basis), start=ZERO)
             return ("optimal", value, tuple(x), basis)
         leave = -1
@@ -95,27 +81,51 @@ def simplex_standard(A: Mat, b: Vec, c: Vec, basis: list[int]):
         for i in range(k):
             a = T[i][entering]
             if a > 0:
-                ratio = T[i][N] / a
+                ratio = T[i][-1] / a
                 # Bland again: break ratio ties on the smallest basic index.
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave < 0:
             return ("unbounded",)
-        piv = T[leave][entering]
-        if piv != 1:
-            T[leave] = [e / piv for e in T[leave]]
-        for r in range(k):
-            if r != leave and T[r][entering] != 0:
-                f = T[r][entering]
-                T[r] = [e - f * p for e, p in zip(T[r], T[leave])]
+        _pivot(T, leave, entering)
         in_basis.discard(basis[leave])
         in_basis.add(entering)
         basis[leave] = entering
 
 
+def simplex_standard(A: Mat, b: Vec, c: Vec, basis: list[int]):
+    """max c.x s.t. A x = b, x >= 0, warm-started from a feasible basis.
+
+    The basis columns must be invertible and the corresponding basic solution
+    nonnegative.  Returns ('optimal', value, x, basis) or ('unbounded',).
+    """
+    T = [list(row) + [bv] for row, bv in zip(A, b, strict=True)]
+    basis = list(basis)
+    # Reduce so that basis column i is the i-th identity column.
+    for i, col in enumerate(basis):
+        r = next(r for r in range(i, len(T)) if T[r][col] != 0)
+        T[i], T[r] = T[r], T[i]
+        _pivot(T, i, col)
+    if any(row[-1] < 0 for row in T):
+        raise ValueError("warm-start basis is not primal feasible")
+    return _simplex(T, basis, c)
+
+
 def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
-    """Optimize an exact linear objective over {x : A x >= b}."""
+    """Optimize an exact linear objective over {x : A x >= b}.
+
+    One tableau serves both phases.  Its start basis is the identity: the
+    slack of each row with b_i <= 0, an artificial for each other row.
+    Phase 1 maximizes minus the sum of the artificials; a nonzero optimum
+    proves the polyhedron empty.  Otherwise each artificial still basic (at
+    zero) is pivoted out on its row's first nonzero non-artificial entry.  One
+    exists: every row owns a slack, so the non-artificial columns have full
+    row rank, and no row is ever redundant.  The pivot is on a row whose
+    value is 0, so the basis stays feasible.  Slicing off the artificial
+    columns then leaves a tableau reduced on a feasible basis, on which
+    phase 2 runs.
+    """
     if sense not in ("max", "min"):
         raise ValueError(f"bad sense {sense!r}")
     c_obj = objective if sense == "max" else tuple(-e for e in objective)
@@ -127,92 +137,46 @@ def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
         return Unbounded()
 
     # Variables: u(n), v(n) with x = u - v, one slack per row, artificials last.
-    ns, na = 2 * n, 0
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    ns = 2 * n
+    first_art = ns + k
+    na = sum(beta > 0 for beta in P.b)
+    T: list[list[Fraction]] = []
     basis: list[int] = []
-    art_rows: list[int] = []
+    art = first_art
     for i, (a, beta) in enumerate(zip(P.A, P.b, strict=True)):
         if beta <= 0:
             # Orient as (-a).u + a.v + s = -beta so the slack can start basic.
-            row = [-e for e in a] + [e for e in a] + [ZERO] * k
+            row = [-e for e in a] + [e for e in a] + [ZERO] * (k + na) + [-beta]
             row[ns + i] = Fraction(1)
-            rows.append(row)
-            rhs.append(-beta)
             basis.append(ns + i)
         else:
-            row = [e for e in a] + [-e for e in a] + [ZERO] * k
+            # a.u - a.v - s + t = beta, with the artificial t basic.
+            row = [e for e in a] + [-e for e in a] + [ZERO] * (k + na) + [beta]
             row[ns + i] = Fraction(-1)
-            rows.append(row)
-            rhs.append(beta)
-            art_rows.append(i)
-            basis.append(-1)  # placeholder, artificial assigned below
-
-    for row in rows:
-        row.extend([ZERO] * len(art_rows))
-    for t, i in enumerate(art_rows):
-        rows[i][ns + k + t] = Fraction(1)
-        basis[i] = ns + k + t
-        na += 1
-
-    A_std = tuple(tuple(r) for r in rows)
-    b_std = tuple(rhs)
-
+            row[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        T.append(row)
     if na:
-        c1 = zero_vec(ns + k) + (Fraction(-1),) * na
-        res = simplex_standard(A_std, b_std, c1, basis)
-        assert res[0] == "optimal"  # -sum of artificials is bounded above by 0
+        res = _simplex(T, basis, zero_vec(first_art) + (Fraction(-1),) * na)
+        if res[0] != "optimal":
+            raise ArithmeticError("phase 1 reported unbounded, but its objective is at most 0")
         if res[1] != 0:
             return Infeasible()
-        basis = res[3]
-        # Pivot any degenerate artificial out of the basis before phase 2.
-        A_std, b_std, basis = _purge_artificials(A_std, b_std, basis, ns + k)
+        for i in range(len(T)):
+            if basis[i] >= first_art:
+                j = next(j for j in range(first_art) if T[i][j] != 0)
+                _pivot(T, i, j)
+                basis[i] = j
+        T = [row[:first_art] + row[-1:] for row in T]
 
-    c2 = tuple(c_obj) + tuple(-e for e in c_obj) + zero_vec(len(A_std[0]) - ns)
-    res = simplex_standard(A_std, b_std, c2, basis)
+    c2 = tuple(c_obj) + tuple(-e for e in c_obj) + zero_vec(k)
+    res = _simplex(T, basis, c2)
     if res[0] == "unbounded":
         return Unbounded()
     _, value, x, _ = res
     point = vsub(tuple(x[:n]), tuple(x[n : 2 * n]))
     return Optimal(value if sense == "max" else -value, point)
-
-
-def _purge_artificials(A: Mat, b: Vec, basis: list[int], first_art: int):
-    """Drop artificial columns; pivot out (or drop) rows still basic in one."""
-    T = [list(row) + [bv] for row, bv in zip(A, b, strict=True)]
-    k = len(T)
-    # Re-reduce on the current basis so row i owns basis[i].
-    for i, col in enumerate(basis):
-        r = next(r for r in range(i, k) if T[r][col] != 0)
-        T[i], T[r] = T[r], T[i]
-        piv = T[i][col]
-        if piv != 1:
-            T[i] = [e / piv for e in T[i]]
-        for r in range(k):
-            if r != i and T[r][col] != 0:
-                f = T[r][col]
-                T[r] = [e - f * p for e, p in zip(T[r], T[i])]
-        basis[i] = col
-    keep_rows = []
-    for i in range(k):
-        if basis[i] < first_art:
-            keep_rows.append(i)
-            continue
-        j = next((j for j in range(first_art) if T[i][j] != 0), None)
-        if j is None:
-            continue  # all-zero row: the constraint was redundant
-        f = T[i][j]
-        T[i] = [e / f for e in T[i]]
-        for r in range(k):
-            if r != i and T[r][j] != 0:
-                g = T[r][j]
-                T[r] = [e - g * p for e, p in zip(T[r], T[i])]
-        basis[i] = j
-        keep_rows.append(i)
-    A2 = tuple(tuple(T[i][:first_art]) for i in keep_rows)
-    b2 = tuple(T[i][-1] for i in keep_rows)
-    basis2 = [basis[i] for i in keep_rows]
-    return A2, b2, basis2
 
 
 def feasible_point(P: Polyhedron) -> Vec | None:
@@ -232,22 +196,13 @@ def upper_set_min(F: Mat, w: Vec, j: int) -> Fraction:
     n = len(F[0])
     if m == n:
         return w[j]  # F bijective: the upper set maps onto {y : y >= w}
-    Ft = transpose(F)
-    basis = [j]
-    staged: Mat = (F[j],)
-    for col in range(m):
-        if len(basis) == n:
-            break
-        if col == j:
-            continue
-        cand = staged + (F[col],)
-        if rank(cand) > len(staged):
-            basis.append(col)
-            staged = cand
+    order = [j] + [i for i in range(m) if i != j]
+    basis = [order[i] for i in independent_subset(tuple(F[i] for i in order))]
     if len(basis) < n:
         raise ValueError("functional matrix is not injective")
-    res = simplex_standard(Ft, F[j], w, basis)
-    assert res[0] == "optimal"  # bounded above by weak duality
+    res = simplex_standard(transpose(F), F[j], w, basis)
+    if res[0] != "optimal":
+        raise ArithmeticError("upper-set minimum reported unbounded, but weak duality bounds it")
     return res[1]
 
 

@@ -63,7 +63,6 @@ from .linalg import (
     vec,
     vmax,
     vscale,
-    vsub,
 )
 from .lp import Polyhedron, feasible_point
 from .seqspace import (
@@ -71,8 +70,6 @@ from .seqspace import (
     NonDisjoint,
     NonPervasive,
     ProvedNone,
-    Some,
-    b_element,
     c_element,
     seq,
     seq_add,
@@ -80,7 +77,6 @@ from .seqspace import (
     seq_B_upper_bound,
     seq_decompose_BC,
     seq_in_subspace,
-    seq_is_member,
     seq_join_in_C,
     seq_leq,
     seq_nonpervasive_witness,
@@ -263,7 +259,7 @@ def simplicial_properties() -> list[Row]:
             if not isinstance(dec, AtomDecomposition):
                 decomp_bad.append(f"trial {trial}: no decomposition")
                 continue
-            lam = atom_lambda(space, x, a)  # closed form, LP cross-checked inside
+            lam = atom_lambda(space, x, a)
             if (
                 dec.lam != lam
                 or vadd(dec.atom_part, dec.disjoint_part) != x

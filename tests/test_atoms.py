@@ -101,6 +101,15 @@ def box_max(space, bound, J):
     return res.value
 
 
+def lambda_lp(space, x, a):
+    """max{mu : F(x - mu a) >= 0}, the one-variable LP oracle for atom_lambda."""
+    rows = mat([[-e] for e in embed(space, a)])
+    rhs = vec([-e for e in embed(space, x)])
+    res = lp(vec([1]), Polyhedron(rows, rhs, 1))
+    assert isinstance(res, Optimal)
+    return res.value
+
+
 def interval_meet_is_trivial(space, b, d):
     """Check [0,b] and [0,d] meet only in 0, via an exact LP."""
     bound = tuple(min(p, q) for p, q in zip(embed(space, b), embed(space, d)))
@@ -305,6 +314,30 @@ def test_pervasive_witness_check_always_finds_one_in_pervasive_spaces():
             assert any(u > 0 for u in img)
 
 
+def test_pervasive_witness_check_matches_lp_oracle():
+    """A witness exists iff the LP max of the image sum over 0 <= F u <= max(F b, 0) is > 0."""
+    rng = random.Random(40612)
+    spaces = [four_ray(), pentagon()] + [random_polygon_space(rng, m) for m in (4, 6, 8)]
+    spaces += [random_space(rng) for _ in range(12)]
+    kinds = set()
+    for sp in spaces:
+        gens = sp.generators
+        probes = [random_vector(rng, sp.dim) for _ in range(6)]
+        probes += [vsub(vscale(Fraction(2), g), h) for g, h in zip(gens, gens[1:] + gens[:1])]
+        for b in probes:
+            res = pervasive_witness_check(sp, b)
+            p = tuple(max(c, Fraction(0)) for c in embed(sp, b))
+            kinds.add(type(res).__name__)
+            if not any(p):
+                assert res == Inapplicable()
+                continue
+            assert isinstance(res, Witness) == (box_max(sp, p, range(1, sp.m + 1)) > 0)
+            if isinstance(res, Witness):
+                img = embed(sp, res.x)
+                assert all(0 <= u <= q for u, q in zip(img, p)) and any(img)
+    assert kinds == {"Inapplicable", "NoWitness", "Witness"}
+
+
 def test_atom_lambda_frozen_and_errors():
     q2 = simplex(2)
     e1 = vec((1, 0))
@@ -329,6 +362,7 @@ def test_atom_lambda_random_properties():
         a = sp.generators[rng.randrange(len(sp.generators))]
         x = random_positive(rng, sp)
         lam = atom_lambda(sp, x, a)
+        assert lam == lambda_lp(sp, x, a)
         rest = vsub(x, vscale(lam, a))
         assert in_cone(sp, rest)
         assert is_disjoint(sp, rest, a)

@@ -30,12 +30,14 @@ from ordercone.cones import build_space, embed, sup_in_X
 from ordercone.errors import CapExceeded, ParseError
 from ordercone.fixtures import (
     four_ray,
+    random_polygon_space,
     random_simplicial_space,
     random_space,
     random_vector,
     simplex,
 )
-from ordercone.linalg import vadd, vec, vscale
+from ordercone.linalg import vabs, vadd, vec, vscale
+from ordercone.lp import upper_set_min
 
 
 def line(*v):
@@ -173,6 +175,28 @@ def test_principal_ideal_member_frozen():
     v1, v2 = sp.generators[:2]
     assert principal_ideal_member(sp, v1, vadd(v1, v2))
     assert not principal_ideal_member(sp, vadd(v1, v2), v1)
+
+
+def ideal_member_lp(space, x, a):
+    """The upper-set LP route: |F x| vanishes wherever min{f_j(z) : F z >= |F a|} is 0."""
+    wa, wx = vabs(embed(space, a)), vabs(embed(space, x))
+    return all(wx[j] == 0 or wa[j] > 0 or upper_set_min(space.F, wa, j) > 0 for j in range(space.m))
+
+
+def test_principal_ideal_member_matches_upper_set_lp():
+    rng = random.Random(30509)
+    spaces = [four_ray(), simplex(3)] + [random_polygon_space(rng, m) for m in (4, 5, 7)]
+    spaces += [random_space(rng) for _ in range(10)]
+    answers = set()
+    for sp in spaces:
+        gens = sp.generators
+        bases = list(gens) + [vadd(g, h) for g, h in zip(gens, gens[1:])] + [random_vector(rng, sp.dim)]
+        for a in bases:
+            for x in [random_vector(rng, sp.dim) for _ in range(3)] + list(gens[:3]):
+                member = principal_ideal_member(sp, x, a)
+                assert member == ideal_member_lp(sp, x, a)
+                answers.add(member)
+    assert answers == {True, False}
 
 
 def test_principal_ideal_of_atom_is_its_span_simplicial():

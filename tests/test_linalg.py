@@ -135,6 +135,30 @@ def test_invert():
     assert mat([mat_vec(M, col) for col in transpose(Minv)]) == transpose(eye)
 
 
+def greedy_independent_rows(rows):
+    """The first-wins rank loop that independent_subset replaced, as its oracle."""
+    kept, staged = [], ()
+    for i, row in enumerate(rows):
+        if rank(staged + (row,)) > len(kept):
+            kept.append(i)
+            staged += (row,)
+    return tuple(kept)
+
+
+def test_independent_subset_matches_greedy_rank_loop():
+    rng = random.Random(8842)
+    for _ in range(80):
+        cols = rng.randint(1, 5)
+        base = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            rows.append([sum(c * b[i] for c, b in zip(coeffs, base)) for i in range(cols)])
+        M = mat(rows)
+        assert independent_subset(M) == greedy_independent_rows(M)
+        assert len(independent_subset(M)) == rank(M)
+
+
 def test_misc_helpers():
     assert dot(vec([1, 2]), vec([3, 4])) == 11
     assert support(vec([0, 5, 0, -1])) == frozenset({2, 4})

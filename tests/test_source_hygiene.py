@@ -1,0 +1,52 @@
+"""Static checks on the package source: no dead imports, no bare asserts."""
+
+import ast
+from pathlib import Path
+
+import ordercone
+
+PACKAGE = Path(ordercone.__file__).parent
+
+# Modules whose checks must survive `python -O`; seqspace keeps its asserts for now.
+NO_ASSERT = ("linalg", "lp", "cones", "bands", "atoms", "cover")
+
+
+def tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def unread_imports(module: ast.Module) -> list[str]:
+    """Names bound by an import and never loaded; names in __all__ count as read."""
+    imported = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_unread_imports_are_detected():
+    src = "from os import path, sep\nimport sys\n__all__ = ['sep']\nprint(sys.argv)\n"
+    assert unread_imports(ast.parse(src)) == ["path (line 1)"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    dead = {p.name: unread_imports(tree(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in dead.items() if names} == {}
+
+
+def test_no_bare_assert_in_the_certified_layers():
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name in NO_ASSERT
+        for node in ast.walk(tree(PACKAGE / f"{name}.py"))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
