@@ -29,7 +29,6 @@ from .linalg import (
     vec,
     vsub,
 )
-from .lp import upper_set_min
 
 DEFAULT_ENUMERATION_CAP = 14
 
@@ -79,20 +78,13 @@ def is_disjoint(space: OrderedSpace, x: Vec, y: Vec) -> bool:
 def disjoint_eq1_oracle(space: OrderedSpace, x: Vec, y: Vec) -> bool:
     """Definition route: {x+y, -x-y} and {x-y, -x+y} have equal upper sets.
 
-    The two upper sets are {z : F z >= |F(x+y)|} and {z : F z >= |F(x-y)|};
-    mutual inclusion is checked per coordinate with the upper-set minima LPs.
-    Nothing here consults supports, so this is an independent second oracle.
+    The two upper sets are {z : F z >= |F(x+y)|} and {z : F z >= |F(x-y)|}.
+    The space is order dense in its cover (see `cover`), so each bound is
+    the coordinatewise minimum of its upper set, and the sets are equal iff
+    |F(x+y)| = |F(x-y)|.  Nothing here consults supports, so this is an
+    independent second oracle.
     """
-    w1 = vabs(embed(space, vadd(x, y)))
-    w2 = vabs(embed(space, vsub(x, y)))
-    for j in range(space.m):
-        # U(w1) subset of U(w2) needs min over U(w1) of f_j to reach w2_j, and
-        # symmetrically; coordinates where the targets already sit below pass free.
-        if w2[j] > w1[j] and upper_set_min(space.F, w1, j) < w2[j]:
-            return False
-        if w1[j] > w2[j] and upper_set_min(space.F, w2, j) < w1[j]:
-            return False
-    return True
+    return vabs(embed(space, vadd(x, y))) == vabs(embed(space, vsub(x, y)))
 
 
 def union_support(space: OrderedSpace, vectors) -> frozenset[int]:
@@ -190,7 +182,7 @@ def is_directed_subspace(space: OrderedSpace, D: Subspace) -> bool:
     return rank(positive_generators(space, D)) == D.dim
 
 
-def _flats(space: OrderedSpace):
+def _flats(space: OrderedSpace, cap: int):
     """Every flat of the facet rows' matroid with its row kernel, and its covers.
 
     A flat is a set L of rows closed under linear dependence: L holds every
@@ -203,12 +195,16 @@ def _flats(space: OrderedSpace):
     Close-by-one, the depth-first form of Ganter's NextClosure (1984), keeps
     the cover cl(L + j) only when j is the least row it adds, so each flat is
     visited, and its kernel computed, once.  Returns the kernels by flat and,
-    for each flat L, the map from each row j outside L to cl(L + j).
+    for each flat L, the map from each row j outside L to cl(L + j).  Raises
+    CapExceeded once it has visited more than 2^cap flats; every flat is a
+    set of rows, so no space with at most cap facets is refused.
     """
     kernels: dict[frozenset[int], Subspace] = {}
     covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
     todo = [(frozenset(), 1)]  # facet rows are nonzero, so no row vanishes on Q^n
     while todo:
+        if len(kernels).bit_length() > cap:  # len >= 2^cap, without building 2^cap for a huge cap
+            raise CapExceeded(f"band enumeration visits more than 2^{cap} flats")
         L, start = todo.pop()
         K = kernels[L] = kernel_of_rows(space, L)
         classes: dict[Vec, set[int]] = {}
@@ -238,11 +234,8 @@ def enumerate_band_pairs(
     it again: cl([m] - cl([m] - L)) = L.  Closures are walks up the covers,
     and zero sets are reported maximal (they are the flats).
     """
-    m = space.m
-    if m > cap:
-        raise CapExceeded(f"band enumeration refuses {m} facets, more than the cap {cap}")
-    kernels, covers = _flats(space)
-    full = frozenset(range(1, m + 1))
+    kernels, covers = _flats(space, cap)
+    full = frozenset(range(1, space.m + 1))
 
     def closure(S: frozenset[int]) -> frozenset[int]:
         C = frozenset()
@@ -264,30 +257,20 @@ def enumerate_band_pairs(
 def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Band, ...]:
     """All bands, ordered by (dimension, basis), with maximal zero sets.
 
-    Refuses spaces with more than `cap` facets (CapExceeded).
+    Refuses spaces whose facet rows have more than 2^cap flats (CapExceeded).
     """
     return tuple(band for band, _ in enumerate_band_pairs(space, cap))
 
 
 def principal_ideal_member(space: OrderedSpace, x: Vec, a: Vec) -> bool:
     """Whether x lies in the principal ideal of a (some scaling of |a| solidly
-    dominates |x|).
+    dominates |x|): whether supp(F x) lies inside supp(F a).
 
-    Scaling multiplies the tightened modulus of a, so membership asks that
-    |F x| vanish wherever min{f_j(z) : F z >= |F a|} is zero.  For j outside
-    supp(F a) that minimum is zero iff supp(F a) lies in the union U_j of
-    supp(F g) over the atoms g with f_j(g) = 0.  A z in K with f_j(z) = 0 lies
-    in the face K ∩ ker f_j, which those atoms generate, so supp(F z) lies in
-    U_j; and F z >= |F a| puts supp(F a) inside supp(F z).  Conversely, a
-    large multiple of the sum of those atoms is such a z when supp(F a) lies
-    in U_j.  So x is no member iff this holds for some j in supp(F x) outside
-    supp(F a).
+    By order density (see `cover`) the solid order is the pointwise order of
+    the moduli |F x| and |F a|, and some multiple of |F a| is above |F x|
+    iff F x vanishes wherever F a does.
     """
-    fa = support(embed(space, a))
-    for j in support(embed(space, x)) - fa:
-        if fa <= frozenset().union(*(s for s in space.atom_supports if j not in s)):
-            return False
-    return True
+    return support(embed(space, x)) <= support(embed(space, a))
 
 
 def extend_band(space: OrderedSpace, B) -> frozenset[int]:

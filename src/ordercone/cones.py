@@ -30,7 +30,7 @@ from .linalg import (
     vmax,
     vsub,
 )
-from .lp import Polyhedron, upper_set_minima
+from .lp import Polyhedron
 
 
 def extreme_rays(A: Mat) -> tuple[Vec, ...]:
@@ -196,20 +196,14 @@ def upper_bound_polyhedron(space: OrderedSpace, M) -> Polyhedron:
 def sup_in_X(space: OrderedSpace, M) -> Vec | None:
     """Least upper bound of a finite set inside the space, if one exists.
 
-    Any sup s must satisfy F s = t(w) where w is the coordinatewise max of
-    the images and t the upper-set tightening; conversely a preimage of t(w)
-    is an upper bound dominated by every other one.  So: tighten, then try
-    to invert.
+    Let w be the coordinatewise max of the images.  A preimage s of w is an
+    upper bound below every other one, since any upper bound z has F z >= w.
+    Conversely a sup s has F s >= w, and F s = w: the space is order dense
+    in its cover (see `cover`), so for each j some upper bound z has
+    f_j(z) = w_j, and s <= z gives f_j(s) <= w_j.  So the sup exists iff
+    F s = w is solvable, and None means that linear system is inconsistent.
     """
-    U = upper_bound_polyhedron(space, M)
-    w = U.b
-    direct = solve_linear(space.F, w)
-    if direct is not None:
-        return direct
-    tight = upper_set_minima(space.F, w)
-    if tight == w:
-        return None
-    return solve_linear(space.F, tight)
+    return solve_linear(space.F, upper_bound_polyhedron(space, M).b)
 
 
 def archimedean_certificate(space: OrderedSpace, x: Vec, y: Vec) -> Fraction | None:

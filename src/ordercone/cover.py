@@ -1,11 +1,16 @@
-"""Order structure of the coordinatewise cover: modulus domination,
-pointwise order-density validation, and majorization tests.
+"""Order structure of the coordinatewise cover: moduli, modulus domination,
+and majorization tests.
 
 The cover of a space is Q^m with the coordinatewise order; an element of the
-cover is a plain length-m vector.  All three predicates here reduce to exact
-LPs over the upper sets {z : F z >= w}, with the pointwise comparison used as
-a sound shortcut (row j of the constraints already bounds the j-th minimum
-below by w_j).
+cover is a plain length-m vector.  The facet embedding makes the space order
+dense in its cover: every w in Q^m is the infimum of the images above it,
+that is, min{f_j(z) : F z >= w} = w_j for every row j.  Row j bounds the
+minimum below by w_j.  The rows are the cone's irredundant facets, so the
+sum p of the atoms on facet j has f_j(p) = 0 and f_i(p) > 0 for every i != j
+(each other facet misses one of those atoms, or the two facets would be one
+face).  For any z0 with f_j(z0) = w_j, z = z0 + t p then has F z >= w and
+f_j(z) = w_j once t is large.  So every question about the upper sets
+{z : F z >= w} is a pointwise comparison of the bounds w, with no LP.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from .cones import OrderedSpace, embed
 from .errors import ParseError
 from .linalg import Vec, dot, mat, vabs, vec
-from .lp import Polyhedron, feasible_point, upper_set_min, upper_set_minima
+from .lp import Polyhedron, feasible_point
 
 
 def cover_modulus(space: OrderedSpace, x: Vec) -> Vec:
@@ -21,33 +26,14 @@ def cover_modulus(space: OrderedSpace, x: Vec) -> Vec:
     return vabs(embed(space, x))
 
 
-def tighten(space: OrderedSpace, w: Vec) -> Vec:
-    """Coordinatewise minima of the images over the upper set of w."""
-    if len(w) != space.m:
-        raise ParseError(f"cover element must have length {space.m}")
-    return upper_set_minima(space.F, w)
-
-
 def modulus_dominates(space: OrderedSpace, x: Vec, y: Vec) -> bool:
     """Whether every upper bound of {y,-y} bounds {x,-x}: the solid order |x| <= |y|.
 
-    Decided coordinatewise: {z : F z >= |F y|} lies inside {z : F z >= |F x|}
-    iff each minimum min{f_j(z) : F z >= |F y|} reaches |F x|_j.  Coordinates
-    with |F x|_j <= |F y|_j pass without an LP.
+    {z : F z >= |F y|} lies inside {z : F z >= |F x|} iff each minimum
+    min{f_j(z) : F z >= |F y|} reaches |F x|_j.  By order density that
+    minimum is |F y|_j, so the test is |F x| <= |F y| pointwise.
     """
-    wx = cover_modulus(space, x)
-    wy = cover_modulus(space, y)
-    for j in range(space.m):
-        if wx[j] > wy[j] and upper_set_min(space.F, wy, j) < wx[j]:
-            return False
-    return True
-
-
-def order_density_at(space: OrderedSpace, y: Vec) -> bool:
-    """Whether y is the infimum of the images above it (cover premise at y)."""
-    if len(y) != space.m:
-        raise ParseError(f"cover element must have length {space.m}")
-    return all(upper_set_min(space.F, y, j) == y[j] for j in range(space.m))
+    return all(a <= b for a, b in zip(cover_modulus(space, x), cover_modulus(space, y)))
 
 
 def is_majorizing(space: OrderedSpace, basis, J) -> bool:

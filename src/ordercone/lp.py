@@ -5,6 +5,11 @@ reported optimum is exact.  One dense tableau over Fraction is carried through
 phase 1, the purge of artificials still basic at zero, and phase 2; every
 pivot is `linalg._pivot`.  Problems are tiny here (tens of variables), which
 makes dense tableaus over Fraction the right trade.
+
+The library solves LPs only where the face structure does not give the
+answer: `rdp_split` and `is_majorizing`.  Minima over upper sets
+{z : F z >= w} need none, since the facet embedding is order dense (see
+`cover`); the self-test keeps `lp` as their oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Vec, ZERO, _pivot, dot, independent_subset, transpose, vsub, zero_vec
+from .linalg import Mat, Vec, ZERO, _pivot, dot, vsub, zero_vec
 
 
 @dataclass(frozen=True)
@@ -94,24 +99,6 @@ def _simplex(T: list[list[Fraction]], basis: list[int], c: Vec):
         basis[leave] = entering
 
 
-def simplex_standard(A: Mat, b: Vec, c: Vec, basis: list[int]):
-    """max c.x s.t. A x = b, x >= 0, warm-started from a feasible basis.
-
-    The basis columns must be invertible and the corresponding basic solution
-    nonnegative.  Returns ('optimal', value, x, basis) or ('unbounded',).
-    """
-    T = [list(row) + [bv] for row, bv in zip(A, b, strict=True)]
-    basis = list(basis)
-    # Reduce so that basis column i is the i-th identity column.
-    for i, col in enumerate(basis):
-        r = next(r for r in range(i, len(T)) if T[r][col] != 0)
-        T[i], T[r] = T[r], T[i]
-        _pivot(T, i, col)
-    if any(row[-1] < 0 for row in T):
-        raise ValueError("warm-start basis is not primal feasible")
-    return _simplex(T, basis, c)
-
-
 def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
     """Optimize an exact linear objective over {x : A x >= b}.
 
@@ -183,29 +170,3 @@ def feasible_point(P: Polyhedron) -> Vec | None:
     """A point of P, or None when P is empty."""
     res = lp(zero_vec(P.n), P)
     return res.point if isinstance(res, Optimal) else None
-
-
-def upper_set_min(F: Mat, w: Vec, j: int) -> Fraction:
-    """min{(F x)_j : F x >= w} for an injective F (0-based j).
-
-    Solved through the dual max{w . lam : F^T lam = F[j], lam >= 0}, which the
-    basis {j} (lam = e_j) makes feasible immediately, so no phase-1 runs.  The
-    minimum exists because row j of the constraints bounds it below by w[j].
-    """
-    m = len(F)
-    n = len(F[0])
-    if m == n:
-        return w[j]  # F bijective: the upper set maps onto {y : y >= w}
-    order = [j] + [i for i in range(m) if i != j]
-    basis = [order[i] for i in independent_subset(tuple(F[i] for i in order))]
-    if len(basis) < n:
-        raise ValueError("functional matrix is not injective")
-    res = simplex_standard(transpose(F), F[j], w, basis)
-    if res[0] != "optimal":
-        raise ArithmeticError("upper-set minimum reported unbounded, but weak duality bounds it")
-    return res[1]
-
-
-def upper_set_minima(F: Mat, w: Vec) -> Vec:
-    """The tightened vector t(w): coordinatewise minima over {x : F x >= w}."""
-    return tuple(upper_set_min(F, w, j) for j in range(len(F)))

@@ -59,12 +59,14 @@ from .linalg import (
     primitive,
     rank,
     solve_linear,
+    vabs,
     vadd,
     vec,
     vmax,
     vscale,
+    vsub,
 )
-from .lp import Polyhedron, feasible_point
+from .lp import Optimal, Polyhedron, feasible_point, lp
 from .seqspace import (
     NonDirected,
     NonDisjoint,
@@ -130,6 +132,16 @@ def _no_common_positive_lower_bound(space, b, d) -> bool:
     rows.append(tuple(sum(col, start=Fraction(0)) for col in zip(*space.F)))
     rhs.append(Fraction(1))
     return feasible_point(Polyhedron(mat(rows), vec(rhs), space.dim)) is None
+
+
+def _order_dense_at(space, w) -> bool:
+    """LP oracle for order density at w: min{f_j(z) : F z >= w} = w_j for every j."""
+    U = Polyhedron(space.F, w, space.dim)
+    for f, wj in zip(space.F, w):
+        res = lp(f, U, "min")
+        if not (isinstance(res, Optimal) and res.value == wj):
+            return False
+    return True
 
 
 # --- suite 1: the four-ray counterexample, frozen end to end ------------------
@@ -316,17 +328,27 @@ def dual_oracle_disjointness() -> list[Row]:
     rows, out = _rows()
     rng = random.Random(20260802)
     disagreements: list[str] = []
+    loose: list[str] = []
     for trial in range(50):
         space = random_space(rng)
-        for _ in range(500):
+        for pair in range(500):
             x = random_vector(rng, space.dim)
             y = random_vector(rng, space.dim)
             if is_disjoint(space, x, y) != disjoint_eq1_oracle(space, x, y):
                 disagreements.append(f"trial {trial}: x={x} y={y}")
+            if pair < 5:
+                for w in (vabs(mat_vec(space.F, vadd(x, y))), vabs(mat_vec(space.F, vsub(x, y)))):
+                    if not _order_dense_at(space, w):
+                        loose.append(f"trial {trial}: w={w}")
     out(
         "support test matches the upper-bound-set test on 50 x 500 random pairs",
         not disagreements,
         _first(disagreements),
+    )
+    out(
+        "upper-set minima LPs reproduce |F(x+y)| and |F(x-y)| on 50 x 5 pairs",
+        not loose,
+        _first(loose),
     )
     return rows
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInC, NotMember, ParseError
+from .errors import CertificateError, NotInC, NotMember, ParseError
 from .linalg import as_fraction
 
 ZERO = Fraction(0)
@@ -188,9 +188,10 @@ def seq_decompose_BC(x: SeqElement) -> tuple[SeqElement, SeqElement]:
     c_entries[-1] = -2 * deep_weight
     c = seq(c_entries, tail_start=0, tail_value=0)
 
-    assert seq_in_subspace(b, "B")
-    assert seq_in_subspace(c, "C")
-    assert seq_add(b, c) == x
+    if not (seq_in_subspace(b, "B") and seq_in_subspace(c, "C")):
+        raise CertificateError("the B and C parts of x left their subspaces")
+    if seq_add(b, c) != x:
+        raise CertificateError("the B and C parts of x do not add up to x")
     return b, c
 
 
@@ -252,8 +253,10 @@ def seq_join_in_C(x: SeqElement, y: SeqElement):
     if s > 0:
         return ProvedNone(NonDirected(s))
     bound = seq_add(m, seq({-1: -2 * s})) if s else m
-    assert seq_in_subspace(bound, "C")
-    assert seq_leq(x, bound) and seq_leq(y, bound)
+    if not seq_in_subspace(bound, "C"):
+        raise CertificateError("the join candidate left C")
+    if not (seq_leq(x, bound) and seq_leq(y, bound)):
+        raise CertificateError("the join candidate does not bound both inputs")
     return Some(bound)
 
 
@@ -268,8 +271,10 @@ def seq_B_upper_bound(x: SeqElement, y: SeqElement) -> SeqElement:
         if not seq_in_subspace(z, "B"):
             raise NotMember("upper-bound candidates must lie in B")
     m = seq_pointwise_max(x, y)
-    assert seq_is_member(m) and seq_in_subspace(m, "B")
-    assert seq_leq(x, m) and seq_leq(y, m)
+    if not (seq_is_member(m) and seq_in_subspace(m, "B")):
+        raise CertificateError("the pointwise max of two B members left B")
+    if not (seq_leq(x, m) and seq_leq(y, m)):
+        raise CertificateError("the pointwise max does not bound both inputs")
     return m
 
 
@@ -292,10 +297,11 @@ def seq_nonpervasive_witness() -> NonPervasive:
     order interval below that positive part collapses; the probes check the
     equation from both sides before the certificate is issued.
     """
-    assert not seq_is_member(seq({-1: 1}))
-    assert not seq_is_member(seq({-1: -3}))
+    if seq_is_member(seq({-1: 1})) or seq_is_member(seq({-1: -3})):
+        raise CertificateError("a nonzero sequence supported at index -1 is a member")
     zero = seq({-1: 0})
-    assert seq_is_member(zero) and zero == SEQ_ZERO
+    if not (seq_is_member(zero) and zero == SEQ_ZERO):
+        raise CertificateError("the zero sequence at index -1 is not the member 0")
     return NonPervasive()
 
 
@@ -307,10 +313,10 @@ def seq_B_complement_witness() -> NonDisjoint:
     """
     x1 = c_element(1)
     b = b_element()
-    assert seq_in_subspace(x1, "C")
-    assert seq_in_subspace(b, "B")
-    assert x1.value_at(-1) != 0 and b.value_at(-1) != 0
-    assert not seq_is_disjoint(x1, b)
+    if not (seq_in_subspace(x1, "C") and seq_in_subspace(b, "B")):
+        raise CertificateError("the probes left C and B")
+    if x1.value_at(-1) == 0 or b.value_at(-1) == 0 or seq_is_disjoint(x1, b):
+        raise CertificateError("the probes do not meet at index -1")
     return NonDisjoint(-1)
 
 

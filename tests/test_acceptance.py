@@ -38,15 +38,18 @@ def test_criterion_01_four_ray_golden():
 
 def test_criterion_02_simplicial_properties():
     # 200 random simplicial spaces: all-true classification, atomic
-    # decompositions with agreeing closed-form and LP coefficients,
-    # idempotent positive projections with positive complements, principal
-    # bands equal to rays, and the full 2^n band/projection correspondence.
+    # decompositions whose coefficient equals the closed-form lambda and
+    # whose parts are disjoint, principal bands equal to rays, and the full
+    # 2^n band/projection correspondence with complementary projections
+    # summing to the identity.
     _run(2, "simplicial property suite")
 
 
 def test_criterion_03_dual_oracle_disjointness():
     # 50 random spaces x 500 random pairs: the cover-support test and the
-    # upper-bound-set equality test agree with zero disagreements.
+    # upper-bound-set equality test agree with zero disagreements; on the
+    # first 5 pairs of each space, exact LPs confirm that every upper-set
+    # minimum min{f_j(z) : F z >= |F(x +- y)|} is the bound itself.
     _run(3, "dual-oracle disjointness")
 
 

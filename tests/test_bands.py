@@ -37,7 +37,7 @@ from ordercone.fixtures import (
     simplex,
 )
 from ordercone.linalg import vabs, vadd, vec, vscale
-from ordercone.lp import upper_set_min
+from ordercone.lp import Polyhedron, lp
 
 
 def line(*v):
@@ -164,6 +164,18 @@ def test_enumerate_bands_simplicial_and_cap():
         enumerate_bands(four_ray(), cap=3)
 
 
+def test_cap_counts_flats_not_facets():
+    # The cone over a 15-gon has 15 facets but only 122 flats: 0, 15 rows,
+    # 105 pairs and the full set.  Its bands are 0 and X, both projection bands.
+    sp = build_space(3, generators=[[k, k * k, 1] for k in range(-7, 8)])
+    assert sp.m == 15
+    assert [b.carrier.dim for b in enumerate_bands(sp)] == [0, 3]
+    assert len(enumerate_order_projections(sp)) == 2
+    with pytest.raises(CapExceeded):
+        enumerate_bands(sp, cap=6)
+    assert len(enumerate_bands(sp, cap=7)) == 2
+
+
 def test_principal_ideal_member_frozen():
     q2 = simplex(2)
     assert not principal_ideal_member(q2, vec((0, 1)), vec((1, 0)))
@@ -180,7 +192,8 @@ def test_principal_ideal_member_frozen():
 def ideal_member_lp(space, x, a):
     """The upper-set LP route: |F x| vanishes wherever min{f_j(z) : F z >= |F a|} is 0."""
     wa, wx = vabs(embed(space, a)), vabs(embed(space, x))
-    return all(wx[j] == 0 or wa[j] > 0 or upper_set_min(space.F, wa, j) > 0 for j in range(space.m))
+    U = Polyhedron(space.F, wa, space.dim)
+    return all(wx[j] == 0 or wa[j] > 0 or lp(space.F[j], U, "min").value > 0 for j in range(space.m))
 
 
 def test_principal_ideal_member_matches_upper_set_lp():

@@ -24,7 +24,6 @@ OPERATION_ROUTES = {
     # cover diagnostics
     "embed": ["disjoint", *FOUR_RAY, "[1,0,1]", "[-1,0,1]"],
     "modulus_dominates": ["disjoint", *FOUR_RAY, "[1,0,1]", "[-1,0,1]"],
-    "order_density_at": ["sup", *FOUR_RAY, "[1,0,1]", "[-1,0,1]"],
     "is_majorizing": ["extend", *FOUR_RAY, "[1,0,1]"],
     # bands
     "is_disjoint": ["disjoint", *FOUR_RAY, "[1,0,1]", "[-1,0,1]"],
@@ -160,6 +159,13 @@ def test_timing_only_in_text_mode(capsys):
     assert "elapsed:" in text
     _, machine, _ = run(["classify", *FOUR_RAY, "--json"], capsys)
     assert "elapsed" not in machine
+
+
+def test_lambda_text_claims_no_lp_cross_check(capsys):
+    code, text, _ = run(["lambda", "--example", "simplex:2", "[3,5]", "[1,0]"], capsys)
+    assert code == 0
+    assert "lambda: 3" in text
+    assert "lpCrossChecked" not in text and "certificates:" not in text
 
 
 def test_exit_codes(capsys):

@@ -28,7 +28,7 @@ from ordercone.fixtures import (
     simplex,
 )
 from ordercone.linalg import dot, mat, mat_vec, nullspace, primitive, rank, solve_linear, transpose, vec
-from ordercone.lp import upper_set_minima
+from ordercone.lp import Polyhedron, lp
 
 V1, V2, V3, V4 = (vec(g) for g in FOUR_RAY_GENERATORS)
 
@@ -119,6 +119,11 @@ def test_sup_simplicial_is_coordinatewise():
     assert s == vec([3, 5, 0])
 
 
+def upper_set_minima(F, w, n):
+    """Coordinatewise minima over {x : F x >= w}, one LP per row."""
+    return tuple(lp(f, Polyhedron(F, w, n), "min").value for f in F)
+
+
 def upper_set_minima_bruteforce(F, w, n):
     """Vertex enumeration oracle: minima are attained at rank-n tight subsets."""
     m = len(F)
@@ -140,14 +145,14 @@ def upper_set_minima_bruteforce(F, w, n):
 def test_tightening_against_vertex_enumeration():
     S = four_ray()
     w = vec([1, 0, 0, 0])
-    assert upper_set_minima(S.F, w) == upper_set_minima_bruteforce(S.F, w, 3) == w
+    assert upper_set_minima(S.F, w, 3) == upper_set_minima_bruteforce(S.F, w, 3) == w
     w = vec([0, 2, 2, 2])  # the sup-less pair: already tight everywhere
-    assert upper_set_minima(S.F, w) == w
+    assert upper_set_minima(S.F, w, 3) == w
     rng = random.Random(2024)
     for _ in range(25):
         sp = random_space(rng)
         w = vec([rng.randint(-3, 3) for _ in range(sp.m)])
-        assert upper_set_minima(sp.F, w) == upper_set_minima_bruteforce(sp.F, w, sp.dim)
+        assert upper_set_minima(sp.F, w, sp.dim) == upper_set_minima_bruteforce(sp.F, w, sp.dim)
 
 
 def test_sup_random_simplicial_always_exists():
@@ -160,7 +165,7 @@ def test_sup_random_simplicial_always_exists():
         im = embed(S, s)
         for x in xs:
             assert leq(S, x, s)
-        tight = upper_set_minima(S.F, upper_bound_polyhedron(S, xs).b)
+        tight = upper_set_minima(S.F, upper_bound_polyhedron(S, xs).b, S.dim)
         assert im == tight
 
 

@@ -6,14 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ordercone.cones import embed, in_cone, leq
-from ordercone.cover import (
-    cover_modulus,
-    is_majorizing,
-    modulus_dominates,
-    order_density_at,
-    tighten,
-)
+from ordercone.cones import build_space, embed, in_cone, leq
+from ordercone.cover import cover_modulus, is_majorizing, modulus_dominates
 from ordercone.errors import ParseError
 from ordercone.fixtures import (
     four_ray,
@@ -24,8 +18,8 @@ from ordercone.fixtures import (
     random_vector,
     simplex,
 )
-from ordercone.linalg import mat, mat_vec, vabs, vadd, vec, vmin, vscale, vsub
-from ordercone.lp import Polyhedron, feasible_point
+from ordercone.linalg import dot, mat, solve_linear, support, vadd, vec, vmin, vscale, vsub
+from ordercone.lp import Polyhedron, feasible_point, lp
 
 
 def frac_vec(*entries):
@@ -73,38 +67,22 @@ def test_modulus_dominates_scaling_random():
 
 
 def test_modulus_dominates_matches_pointwise_comparison():
-    """LP route vs coordinatewise moduli.
+    """Pointwise moduli vs the upper-set LPs they replace.
 
-    With an irredundant facet system the coordinatewise minima over an upper
-    set reproduce the bound itself, so the solid order coincides with the
-    pointwise comparison of moduli; this checks the LP path agrees on pairs
-    where the pointwise test fails as well.
+    |x| <= |y| in the solid order iff min{f_j(z) : F z >= |F y|} >= |F x|_j
+    for every j; the LPs check this on pairs where the pointwise test fails
+    as well.
     """
     rng = random.Random(20402)
     for _ in range(40):
         sp = random_space(rng)
         x = random_vector(rng, sp.dim)
         y = random_vector(rng, sp.dim)
-        pointwise = all(
-            a <= b for a, b in zip(cover_modulus(sp, x), cover_modulus(sp, y))
-        )
-        assert modulus_dominates(sp, x, y) == pointwise
-
-
-def test_tighten_frozen_and_fixed_points():
-    sp = four_ray()
-    assert tighten(sp, frac_vec(1, 0, 0, 0)) == frac_vec(1, 0, 0, 0)
-    assert tighten(sp, frac_vec(0, 2, 2, 2)) == frac_vec(0, 2, 2, 2)
-    assert tighten(sp, frac_vec(-10, 0, 0, 0)) == frac_vec(-10, 0, 0, 0)
-    with pytest.raises(ParseError):
-        tighten(sp, frac_vec(1, 0, 0))
-    rng = random.Random(20403)
-    for _ in range(30):
-        spr = random_space(rng)
-        w = random_vector(rng, spr.m)
-        t = tighten(spr, w)
-        assert t == w
-        assert tighten(spr, t) == t
+        wx, wy = cover_modulus(sp, x), cover_modulus(sp, y)
+        pointwise = all(a <= b for a, b in zip(wx, wy))
+        U = Polyhedron(sp.F, wy, sp.dim)
+        by_lp = all(lp(f, U, "min").value >= wxj for f, wxj in zip(sp.F, wx))
+        assert modulus_dominates(sp, x, y) == pointwise == by_lp
 
 
 def density_patterns(m, rng=None, limit=None):
@@ -116,35 +94,61 @@ def density_patterns(m, rng=None, limit=None):
             yield vec(tuple(rng.choice((-1, 0, 1)) for _ in range(m)))
 
 
+def check_density(sp, patterns):
+    """Order density without an LP: min{f_j(z) : F z >= w} = w_j, attained.
+
+    p, the sum of the atoms on facet j, has f_j(p) = 0 and f_i(p) > 0 for
+    i != j.  With f_j(z0) = w_j, z = z0 + t p has F z >= w and f_j(z) = w_j
+    for large t; row j bounds the minimum below by w_j.
+    """
+    for j, f in enumerate(sp.F):
+        p = tuple(sum(col, start=Fraction(0)) for col in zip(*(g for g in sp.generators if dot(f, g) == 0)))
+        Fp = embed(sp, p)
+        assert support(Fp) == frozenset(range(1, sp.m + 1)) - {j + 1}
+        unit = solve_linear((f,), (Fraction(1),))
+        for w in patterns:
+            Fz0 = embed(sp, vscale(w[j], unit))
+            t = max([Fraction(0)] + [(w[i] - Fz0[i]) / Fp[i] for i in range(sp.m) if i != j])
+            Fz = vadd(Fz0, vscale(t, Fp))
+            assert Fz[j] == w[j] and all(a >= b for a, b in zip(Fz, w, strict=True))
+
+
+def moment_cone(ts, d):
+    """The cone over the cyclic polytope with vertices (1, t, ..., t^d)."""
+    return build_space(d + 1, generators=[[t**e for e in range(d + 1)] for t in ts])
+
+
 def test_order_density_grid_small_m():
     rng = random.Random(20404)
     spaces = [four_ray(), random_polygon_space(rng, 5), random_polygon_space(rng, 6)]
     for sp in spaces:
-        assert all(order_density_at(sp, y) for y in density_patterns(sp.m))
+        check_density(sp, list(density_patterns(sp.m)))
 
 
 def test_order_density_sampled_larger_m():
     rng = random.Random(20405)
     for m in (7, 8):
         sp = random_polygon_space(rng, m)
-        assert all(
-            order_density_at(sp, y)
-            for y in density_patterns(sp.m, rng=rng, limit=120)
-        )
+        check_density(sp, list(density_patterns(sp.m, rng=rng, limit=120)))
 
 
 def test_order_density_at_images_and_random_points():
     rng = random.Random(20406)
     sp = four_ray()
-    assert order_density_at(sp, frac_vec(1, 0, 0, 0))
-    assert order_density_at(sp, embed(sp, sp.generators[0]))
+    check_density(sp, [frac_vec(1, 0, 0, 0), embed(sp, sp.generators[0])])
     for _ in range(40):
         spr = random_space(rng)
         x = random_vector(rng, spr.dim)
-        assert order_density_at(spr, embed(spr, x))
-        assert order_density_at(spr, random_vector(rng, spr.m))
-    with pytest.raises(ParseError):
-        order_density_at(sp, frac_vec(1, 0, 0, 0, 0))
+        check_density(spr, [embed(spr, x), random_vector(rng, spr.m)])
+
+
+def test_order_density_beyond_q3():
+    rng = random.Random(20410)
+    cones = [moment_cone(range(k), 3) for k in (6, 7, 8)] + [moment_cone(range(7), 4)]
+    assert [sp.m for sp in cones] == [8, 10, 12, 14]
+    for sp in cones:
+        patterns = list(density_patterns(sp.m, rng=rng, limit=120))
+        check_density(sp, patterns + [embed(sp, random_vector(rng, sp.dim)) for _ in range(20)])
 
 
 def test_is_majorizing_frozen():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from ordercone.linalg import dot, mat, transpose, vec, vneg, zero_vec
-from ordercone.lp import Infeasible, Optimal, Polyhedron, Unbounded, feasible_point, lp, upper_set_min
+from ordercone.lp import Infeasible, Optimal, Polyhedron, Unbounded, feasible_point, lp
 
 
 def box(n, lo, hi):
@@ -136,14 +136,3 @@ def test_zero_dimensional_edge():
     res = lp(zero_vec(2), P)
     assert isinstance(res, Optimal) and res.value == 0
     assert isinstance(lp(vec([1, 0]), P), Unbounded)
-
-
-def test_upper_set_min_with_a_row_parallel_to_an_earlier_one():
-    # Row 4 is twice row 0, so the dual start basis {4, ...} must skip row 0.
-    F = mat([[-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1], [-2, -2, 2]])
-    rng = random.Random(77121)
-    for _ in range(15):
-        w = vec([rng.randint(-3, 3) for _ in range(len(F))])
-        for j in range(len(F)):
-            expected = lp(F[j], Polyhedron(F, w, 3), sense="min")
-            assert upper_set_min(F, w, j) == expected.value

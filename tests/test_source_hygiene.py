@@ -7,8 +7,8 @@ import ordercone
 
 PACKAGE = Path(ordercone.__file__).parent
 
-# Modules whose checks must survive `python -O`; seqspace keeps its asserts for now.
-NO_ASSERT = ("linalg", "lp", "cones", "bands", "atoms", "cover")
+# Modules whose checks must survive `python -O`.
+NO_ASSERT = ("linalg", "lp", "cones", "bands", "atoms", "cover", "seqspace")
 
 
 def tree(path: Path) -> ast.Module:
