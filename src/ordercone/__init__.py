@@ -8,6 +8,8 @@ with certificates or independent cross-checks; `run_selftest` (or the
 `ordercone selftest` verb) replays the full verification suite.
 """
 
+import importlib
+
 from .atoms import (
     AtomDecomposition,
     Classification,
@@ -50,7 +52,6 @@ from .bands import (
     subspace,
     vanish_set,
 )
-from .cli import Command, Report, execute, main, parse_space_source
 from .cones import (
     OrderedSpace,
     archimedean_certificate,
@@ -86,28 +87,6 @@ from .errors import (
 from .fixtures import builtin_space, four_ray, simplex
 from .linalg import as_fraction, mat, nullspace, solve_linear, vec
 from .lp import Infeasible, Optimal, Polyhedron, Unbounded, feasible_point, lp
-from .selftest import run_selftest
-from .seqspace import (
-    NonDirected,
-    NonDisjoint,
-    NonPervasive,
-    ProvedNone,
-    SeqElement,
-    Some,
-    b_element,
-    c_element,
-    seq,
-    seq_B_complement_witness,
-    seq_B_upper_bound,
-    seq_decompose_BC,
-    seq_in_subspace,
-    seq_is_disjoint,
-    seq_from_json,
-    seq_is_member,
-    seq_join_in_C,
-    seq_nonpervasive_witness,
-    seq_to_json,
-)
 
 __all__ = [
     # spaces and order
@@ -223,3 +202,41 @@ __all__ = [
     "NotMember",
     "NotInC",
 ]
+
+# The front end, the self-test and the sequence space load on first use of
+# one of their names, so that `import ordercone` stays light.
+_LAZY = {
+    "cli": ("Command", "Report", "parse_space_source", "execute", "main"),
+    "selftest": ("run_selftest",),
+    "seqspace": (
+        "SeqElement",
+        "seq",
+        "seq_is_member",
+        "seq_in_subspace",
+        "seq_decompose_BC",
+        "seq_is_disjoint",
+        "seq_join_in_C",
+        "seq_B_upper_bound",
+        "seq_nonpervasive_witness",
+        "seq_B_complement_witness",
+        "seq_to_json",
+        "seq_from_json",
+        "Some",
+        "ProvedNone",
+        "NonDirected",
+        "NonPervasive",
+        "NonDisjoint",
+        "b_element",
+        "c_element",
+    ),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -41,26 +41,29 @@ from .errors import (
 )
 from .linalg import (
     Mat,
+    ONE,
     Vec,
     ZERO,
     canonical_subspace_basis,
     dot,
+    independent_subset,
     invert,
     is_zero_vec,
-    mat,
     mat_vec,
     primitive,
     rank,
     solve_linear,
     support,
     transpose,
-    vec,
     vadd,
+    vmax,
+    vmin,
+    vneg,
     vscale,
     vsub,
     zero_vec,
 )
-from .lp import Infeasible, Optimal, Polyhedron, lp
+from .lp import Infeasible, Optimal, Polyhedron, lp_nonneg
 
 
 # --- atoms and discrete elements -------------------------------------------
@@ -327,28 +330,63 @@ class NoSplit:
 
 
 def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
-    """Find z = z1 + z2 with 0 <= z1 <= x1, 0 <= z2 <= x2, or certify none exists."""
+    """Find z = z1 + z2 with 0 <= z1 <= x1, 0 <= z2 <= x2, or certify none exists.
+
+    F is bipositive, so the conditions read lo <= F z1 <= hi in the cover,
+    with lo = max(0, F z - F x2) and hi = min(F x1, F z).  Here lo <= hi
+    always: F x1 >= 0 and F z >= 0 as x1, z >= 0, F z - F x2 <= F z as
+    x2 >= 0, and F z - F x2 <= F x1 as z <= x1 + x2.  So a split exists iff
+    the box [lo, hi] meets the range of F.
+
+    The LP runs in image coordinates.  Let B = independent_subset(F), so that
+    F_B is invertible, and let g_i = f_i F_B^{-1}.  Then f_i = g_i F_B, so
+    every y = F z1 in the range has y_i = g_i . y_B.  Substitute
+    y_B = lo_B + s, i.e. z1 = F_B^{-1}(lo_B + s): this is a bijection between
+    the z1 and the s, and lo_B <= y_B becomes s >= 0, which the solver's
+    variables carry.  What is left are the rows s_t <= hi_{B_t} - lo_{B_t}
+    for the rows B_t of B (g = e_t there) and lo_i <= g_i . (lo_B + s) <= hi_i
+    for the rows i outside B: n + 2(m - n) rows over n variables.
+
+    On a simplicial cone m = n and only the first n rows exist.  Their
+    right-hand sides are >= 0 since lo <= hi, so every slack starts basic,
+    there is no phase 1, and the zero objective stops phase 2 at s = 0 with
+    no pivot: z1 = F^{-1} lo.
+    """
     if not (in_cone(space, x1) and in_cone(space, x2) and in_cone(space, z)):
         raise PreconditionViolated("x1, x2, z must lie in the cone")
     if not leq(space, z, vadd(x1, x2)):
         raise PreconditionViolated("need z <= x1 + x2")
-    rows, rhs = [], []
-    for f, c1, cz, c2 in zip(space.F, embed(space, x1), embed(space, z), embed(space, x2)):
-        neg = tuple(-e for e in f)
-        rows.append(f)
-        rhs.append(ZERO)  # f(z1) >= 0
-        rows.append(neg)
-        rhs.append(-c1)  # f(z1) <= f(x1)
-        rows.append(neg)
-        rhs.append(-cz)  # f(z - z1) >= 0
-        rows.append(f)
-        rhs.append(cz - c2)  # f(z - z1) <= f(x2)
-    res = lp(zero_vec(space.dim), Polyhedron(mat(rows), vec(rhs), space.dim))
+    n = space.dim
+    Fz = embed(space, z)
+    lo = vmax(zero_vec(space.m), vsub(Fz, embed(space, x2)))
+    hi = vmin(embed(space, x1), Fz)
+    B = independent_subset(space.F)
+    Binv = invert(tuple(space.F[i] for i in B))
+    lo_B = tuple(lo[i] for i in B)
+    rows: list[Vec] = []
+    rhs: list[Fraction] = []
+    for t, i in enumerate(B):
+        rows.append(tuple(-ONE if u == t else ZERO for u in range(n)))
+        rhs.append(lo[i] - hi[i])  # s_t <= hi_i - lo_i
+    BinvT = transpose(Binv)
+    in_B = set(B)
+    for i, f in enumerate(space.F):
+        if i in in_B:
+            continue
+        g = mat_vec(BinvT, f)
+        base = dot(g, lo_B)
+        rows.append(g)
+        rhs.append(lo[i] - base)  # g . (lo_B + s) >= lo_i
+        rows.append(vneg(g))
+        rhs.append(base - hi[i])  # g . (lo_B + s) <= hi_i
+    res = lp_nonneg(zero_vec(n), Polyhedron(tuple(rows), tuple(rhs), n))
     if isinstance(res, Infeasible):
         return NoSplit()
     if not isinstance(res, Optimal):
         raise ArithmeticError(f"the split LP has a zero objective, yet came back {res}")
-    z1 = res.point
+    z1 = mat_vec(Binv, vadd(lo_B, res.point))
+    if not all(a <= y <= b for a, y, b in zip(lo, embed(space, z1), hi)):
+        raise CertificateError("the split LP returned a point whose image leaves [lo, hi]")
     return Split(z1, vsub(z, z1))
 
 

@@ -6,10 +6,14 @@ phase 1, the purge of artificials still basic at zero, and phase 2; every
 pivot is `linalg._pivot`.  Problems are tiny here (tens of variables), which
 makes dense tableaus over Fraction the right trade.
 
-The library solves LPs only where the face structure does not give the
-answer: `rdp_split` and `is_majorizing`.  Minima over upper sets
-{z : F z >= w} need none, since the facet embedding is order dense (see
-`cover`); the self-test keeps `lp` as their oracle.
+There is one solver, `lp_nonneg`, over {x : A x >= b, x >= 0}.  `lp`, over
+{x : A x >= b} with x free, runs it on the columns [A | -A] and reads back
+x = u - v.  The library solves LPs only where the face structure does not
+give the answer: `rdp_split` calls `lp_nonneg` in image coordinates, whose
+variables are nonnegative by construction, and `is_majorizing` calls `lp`
+through `feasible_point`.  Minima over upper sets {z : F z >= w} need none,
+since the facet embedding is order dense (see `cover`); the self-test keeps
+`lp` as their oracle, and as the oracle of every `NoSplit`.
 """
 
 from __future__ import annotations
@@ -99,8 +103,8 @@ def _simplex(T: list[list[Fraction]], basis: list[int], c: Vec):
         basis[leave] = entering
 
 
-def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
-    """Optimize an exact linear objective over {x : A x >= b}.
+def lp_nonneg(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
+    """Optimize an exact linear objective over {x : A x >= b, x >= 0}.
 
     One tableau serves both phases.  Its start basis is the identity: the
     slack of each row with b_i <= 0, an artificial for each other row.
@@ -111,35 +115,31 @@ def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
     row rank, and no row is ever redundant.  The pivot is on a row whose
     value is 0, so the basis stays feasible.  Slicing off the artificial
     columns then leaves a tableau reduced on a feasible basis, on which
-    phase 2 runs.
+    phase 2 runs.  With no row b_i > 0 there are no artificials, phase 1 is
+    skipped, and a zero objective then costs no pivot at all.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"bad sense {sense!r}")
     c_obj = objective if sense == "max" else tuple(-e for e in objective)
     n = P.n
     k = len(P.A)
-    if k == 0:
-        if all(e == 0 for e in c_obj):
-            return Optimal(ZERO, zero_vec(n))
-        return Unbounded()
 
-    # Variables: u(n), v(n) with x = u - v, one slack per row, artificials last.
-    ns = 2 * n
-    first_art = ns + k
+    # Variables: x(n), one slack per row, artificials last.
+    first_art = n + k
     na = sum(beta > 0 for beta in P.b)
     T: list[list[Fraction]] = []
     basis: list[int] = []
     art = first_art
     for i, (a, beta) in enumerate(zip(P.A, P.b, strict=True)):
         if beta <= 0:
-            # Orient as (-a).u + a.v + s = -beta so the slack can start basic.
-            row = [-e for e in a] + [e for e in a] + [ZERO] * (k + na) + [-beta]
-            row[ns + i] = Fraction(1)
-            basis.append(ns + i)
+            # Orient as (-a).x + s = -beta so the slack can start basic.
+            row = [-e for e in a] + [ZERO] * (k + na) + [-beta]
+            row[n + i] = Fraction(1)
+            basis.append(n + i)
         else:
-            # a.u - a.v - s + t = beta, with the artificial t basic.
-            row = [e for e in a] + [-e for e in a] + [ZERO] * (k + na) + [beta]
-            row[ns + i] = Fraction(-1)
+            # a.x - s + t = beta, with the artificial t basic.
+            row = list(a) + [ZERO] * (k + na) + [beta]
+            row[n + i] = Fraction(-1)
             row[art] = Fraction(1)
             basis.append(art)
             art += 1
@@ -157,13 +157,24 @@ def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
                 basis[i] = j
         T = [row[:first_art] + row[-1:] for row in T]
 
-    c2 = tuple(c_obj) + tuple(-e for e in c_obj) + zero_vec(k)
-    res = _simplex(T, basis, c2)
+    res = _simplex(T, basis, tuple(c_obj) + zero_vec(k))
     if res[0] == "unbounded":
         return Unbounded()
     _, value, x, _ = res
-    point = vsub(tuple(x[:n]), tuple(x[n : 2 * n]))
-    return Optimal(value if sense == "max" else -value, point)
+    return Optimal(value if sense == "max" else -value, tuple(x[:n]))
+
+
+def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
+    """Optimize an exact linear objective over {x : A x >= b}.
+
+    `lp_nonneg` on the columns [A | -A], with the point x = u - v read back.
+    """
+    n = P.n
+    doubled = Polyhedron(tuple(tuple(a) + tuple(-e for e in a) for a in P.A), P.b, 2 * n)
+    res = lp_nonneg(tuple(objective) + tuple(-e for e in objective), doubled, sense)
+    if isinstance(res, Optimal):
+        return Optimal(res.value, vsub(res.point[:n], res.point[n:]))
+    return res
 
 
 def feasible_point(P: Polyhedron) -> Vec | None:

@@ -134,6 +134,38 @@ def _no_common_positive_lower_bound(space, b, d) -> bool:
     return feasible_point(Polyhedron(mat(rows), vec(rhs), space.dim)) is None
 
 
+def _split_exists(space, x1, x2, z) -> bool:
+    """LP oracle: some z1 has 0 <= z1 <= x1 and 0 <= z - z1 <= x2, four rows per facet."""
+    rows, rhs = [], []
+    for f, c1, cz, c2 in zip(space.F, mat_vec(space.F, x1), mat_vec(space.F, z), mat_vec(space.F, x2)):
+        neg = tuple(-e for e in f)
+        rows.append(f)
+        rhs.append(Fraction(0))  # f(z1) >= 0
+        rows.append(neg)
+        rhs.append(-c1)  # f(z1) <= f(x1)
+        rows.append(neg)
+        rhs.append(-cz)  # f(z - z1) >= 0
+        rows.append(f)
+        rhs.append(cz - c2)  # f(z - z1) <= f(x2)
+    return feasible_point(Polyhedron(mat(rows), vec(rhs), space.dim)) is not None
+
+
+def _atom_triple(rng, space, tries: int = 10):
+    """x1 = g_i, x2 = g_k, z = lam*g_j for distinct atoms with 0 < z <= x1 + x2, or None.
+
+    No such triple has a split: [0, g] = {mu*g : 0 <= mu <= 1} for an atom
+    g, and g_j is extreme, so lam*g_j = mu*g_i + nu*g_k forces lam = 0.
+    """
+    gens = space.generators
+    for _ in range(tries if len(gens) >= 3 else 0):
+        i, j, k = rng.sample(range(len(gens)), 3)
+        img, cap = mat_vec(space.F, gens[j]), mat_vec(space.F, vadd(gens[i], gens[k]))
+        if all(b > 0 for a, b in zip(img, cap) if a > 0):
+            top = min(b / a for a, b in zip(img, cap) if a > 0)
+            return gens[i], gens[k], vscale(top * Fraction(rng.randint(1, 4), 4), gens[j])
+    return None
+
+
 def _order_dense_at(space, w) -> bool:
     """LP oracle for order density at w: min{f_j(z) : F z >= w} = w_j for every j."""
     U = Polyhedron(space.F, w, space.dim)
@@ -387,8 +419,11 @@ def band_calculus() -> list[Row]:
 def lattice_equivalences() -> list[Row]:
     rows, out = _rows()
     rng = random.Random(20260804)
+    triple_rng = random.Random(20260814)
     flag_bad: list[str] = []
     split_bad: list[str] = []
+    triple_bad: list[str] = []
+    triples = 0
     fractions = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
     for trial in range(100):
         space = random_space(rng)
@@ -412,8 +447,20 @@ def lattice_equivalences() -> list[Row]:
                     split_bad.append(f"trial {trial}: invalid split parts")
             elif cls.has_rdp:
                 split_bad.append(f"trial {trial}: no split found in an RDP space")
+            elif _split_exists(space, x1, x2, z):
+                split_bad.append(f"trial {trial}: no split found, but the four-row LP has one")
+        triple = _atom_triple(triple_rng, space)
+        if triple is not None:
+            triples += 1
+            if rdp_split(space, *triple) != NoSplit() or _split_exists(space, *triple):
+                triple_bad.append(f"trial {trial}: atom triple {triple} has a split")
     out("lattice, pervasive, and RDP flags coincide on 100 spaces", not flag_bad, _first(flag_bad))
     out("2000 interval split probes are sound and complete", not split_bad, _first(split_bad))
+    out(
+        f"{triples} atom-triple probes have no split, by rdp_split and the four-row LP",
+        triples > 0 and not triple_bad,
+        _first(triple_bad),
+    )
 
     space = four_ray()
     v1, v2, v3, _ = (vec(g) for g in FOUR_RAY_GENERATORS)

@@ -61,7 +61,8 @@ def test_criterion_04_band_calculus():
 
 def test_criterion_05_lattice_equivalences():
     # 100 mixed cones: lattice <=> pervasive <=> decomposition property,
-    # validated random split probes, and the frozen NoSplit triple.
+    # validated random split probes, every NoSplit confirmed by the
+    # four-row LP, atom triples without a split, and the frozen NoSplit triple.
     _run(5, "lattice equivalences")
 
 

@@ -80,6 +80,8 @@ from ordercone.linalg import (
     zero_vec,
 )
 from ordercone.lp import Optimal, Polyhedron, lp
+from ordercone.selftest import _atom_triple, _split_exists
+from test_cover import moment_cone
 
 
 def pentagon():
@@ -569,6 +571,57 @@ def test_rdp_split_matches_classification():
             assert vadd(res.z1, res.z2) == z
             assert in_cone(sp, res.z1) and leq(sp, res.z1, x1)
             assert in_cone(sp, res.z2) and leq(sp, res.z2, x2)
+
+
+def interval_probe(rng, space):
+    """Random x1, x2 >= 0 and a random z in [0, x1 + x2]."""
+    x1, x2, w = (random_positive(rng, space, 1) for _ in range(3))
+    img, cap = embed(space, w), embed(space, vadd(x1, x2))
+    top = min(b / a for a, b in zip(img, cap) if a > 0)
+    return x1, x2, vscale(top * Fraction(rng.randint(1, 4), 4), w)
+
+
+def test_rdp_split_matches_four_row_lp_oracle():
+    """rdp_split agrees with the self-test's four-rows-per-facet LP on every probe.
+
+    A returned split is checked against exactly the oracle's rows
+    (0 <= z1 <= x1, 0 <= z - z1 <= x2), so it is the oracle's feasible point;
+    every NoSplit is put to the oracle, which must find none either.
+    """
+    rng = random.Random(40614)
+    fifteen_gon = build_space(3, generators=[[k, k * k, 1] for k in range(-7, 8)])
+    cyclic = [moment_cone(range(k), 3) for k in (6, 7, 8)] + [moment_cone(range(7), 4)]
+    plan = [(random_space(rng), 20) for _ in range(70)]
+    plan += [(random_polygon_space(rng, 4), 20) for _ in range(30)]
+    plan += [(fifteen_gon, 12)] + [(sp, 10) for sp in cyclic]
+    probes = triples = 0
+    for sp, count in plan:
+        for _ in range(count):
+            triple = _atom_triple(rng, sp) if rng.random() < 0.4 else None
+            x1, x2, z = triple or interval_probe(rng, sp)
+            res = rdp_split(sp, x1, x2, z)
+            if isinstance(res, Split):
+                assert vadd(res.z1, res.z2) == z
+                assert in_cone(sp, res.z1) and leq(sp, res.z1, x1)
+                assert in_cone(sp, res.z2) and leq(sp, res.z2, x2)
+            else:
+                assert not _split_exists(sp, x1, x2, z)
+            if triple is not None:
+                assert res == NoSplit()
+                triples += 1
+            probes += 1
+    assert probes >= 2000 and triples >= 500
+
+
+def test_rdp_split_on_simplicial_cones_is_the_lower_corner():
+    """On a simplicial cone the split is z1 = F^{-1} max(0, F z - F x2)."""
+    rng = random.Random(40615)
+    for _ in range(20):
+        sp = random_simplicial_space(rng, rng.randint(1, 4))
+        x1, x2, z = interval_probe(rng, sp)
+        lo = tuple(max(Fraction(0), a - b) for a, b in zip(embed(sp, z), embed(sp, x2)))
+        z1 = solve_linear(sp.F, lo)
+        assert rdp_split(sp, x1, x2, z) == Split(z1, vsub(z, z1))
 
 
 def test_check_ideal_decomposition_frozen():

@@ -58,7 +58,7 @@ OPERATION_ROUTES = {
     # exact solvers, reached through the dispatched computations
     "solve_linear": ["decompose", "--example", "simplex:2", "[3,5]", "[1,0]"],
     "nullspace": ["restrict", *FOUR_RAY, "[2,3]"],
-    "lp": ["rdp", *FOUR_RAY, "[1,0,1]", "[-1,0,1]", "[0,1,1]"],
+    "lp": ["extend", *FOUR_RAY, "[1,0,1]"],
     # sequence space
     "seq_is_member": ["seq-demo"],
     "seq_in_subspace": ["seq-demo"],

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from ordercone.linalg import dot, mat, transpose, vec, vneg, zero_vec
-from ordercone.lp import Infeasible, Optimal, Polyhedron, Unbounded, feasible_point, lp
+from ordercone.lp import Infeasible, Optimal, Polyhedron, Unbounded, feasible_point, lp, lp_nonneg
 
 
 def box(n, lo, hi):
@@ -129,6 +129,30 @@ def test_strong_duality_random():
         dual = lp(vneg(P.b), Polyhedron(mat(rows), vec(rhs), k), sense="min")
         assert isinstance(dual, Optimal)
         assert dual.value == primal.value
+
+
+def test_lp_nonneg_matches_lp_with_explicit_sign_rows():
+    # Random polyhedra, some empty and some unbounded: lp_nonneg over P must
+    # give what lp gives over P with the rows x >= 0 written out.
+    rng = random.Random(31337)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, 5)
+        A = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])
+        b = vec([rng.randint(-4, 4) for _ in range(k)])
+        c = vec([rng.randint(-3, 3) for _ in range(n)])
+        sense = rng.choice(("max", "min"))
+        signs = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+        P = Polyhedron(A, b, n)
+        want = lp(c, Polyhedron(A + signs, b + zero_vec(n), n), sense)
+        got = lp_nonneg(c, P, sense)
+        assert type(got) is type(want)
+        kinds.add(type(got))
+        if isinstance(got, Optimal):
+            assert got.value == want.value == dot(c, got.point)
+            assert P.contains(got.point) and all(e >= 0 for e in got.point)
+    assert kinds == {Optimal, Infeasible, Unbounded}
 
 
 def test_zero_dimensional_edge():

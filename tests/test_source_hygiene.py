@@ -1,6 +1,9 @@
-"""Static checks on the package source: no dead imports, no bare asserts."""
+"""Checks on the package source: no dead imports, no bare asserts, a light import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ordercone
@@ -50,3 +53,16 @@ def test_no_bare_assert_in_the_certified_layers():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_import_leaves_the_front_end_unloaded():
+    # The CLI, the self-test and the sequence space load on first use only.
+    probe = (
+        "import sys, ordercone\n"
+        "heavy = ('ordercone.cli', 'ordercone.selftest', 'ordercone.seqspace', 'argparse')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(callable(ordercone.run_selftest), callable(ordercone.seq))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
