@@ -46,7 +46,6 @@ from .linalg import (
     ZERO,
     canonical_subspace_basis,
     dot,
-    independent_subset,
     invert,
     is_zero_vec,
     mat_vec,
@@ -339,7 +338,8 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     the box [lo, hi] meets the range of F.
 
     The LP runs in image coordinates.  Let B = independent_subset(F), so that
-    F_B is invertible, and let g_i = f_i F_B^{-1}.  Then f_i = g_i F_B, so
+    F_B is invertible, and let g_i = f_i F_B^{-1} (both are the space's
+    `row_basis`, computed once per space).  Then f_i = g_i F_B, so
     every y = F z1 in the range has y_i = g_i . y_B.  Substitute
     y_B = lo_B + s, i.e. z1 = F_B^{-1}(lo_B + s): this is a bijection between
     the z1 and the s, and lo_B <= y_B becomes s >= 0, which the solver's
@@ -360,20 +360,17 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     Fz = embed(space, z)
     lo = vmax(zero_vec(space.m), vsub(Fz, embed(space, x2)))
     hi = vmin(embed(space, x1), Fz)
-    B = independent_subset(space.F)
-    Binv = invert(tuple(space.F[i] for i in B))
+    B, Binv, G = space.row_basis
     lo_B = tuple(lo[i] for i in B)
     rows: list[Vec] = []
     rhs: list[Fraction] = []
     for t, i in enumerate(B):
         rows.append(tuple(-ONE if u == t else ZERO for u in range(n)))
         rhs.append(lo[i] - hi[i])  # s_t <= hi_i - lo_i
-    BinvT = transpose(Binv)
     in_B = set(B)
-    for i, f in enumerate(space.F):
+    for i, g in enumerate(G):
         if i in in_B:
             continue
-        g = mat_vec(BinvT, f)
         base = dot(g, lo_B)
         rows.append(g)
         rhs.append(lo[i] - base)  # g . (lo_B + s) >= lo_i

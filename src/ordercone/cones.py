@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotGenerating, NotPointed, ParseError
 from .linalg import (
@@ -31,6 +32,11 @@ from .linalg import (
     vsub,
 )
 from .lp import Polyhedron
+
+# The largest dimension a space may have.  Exact work grows at least like
+# dim^3, and simplex:256 already takes seconds to classify, so anything
+# larger is refused before a dim-sized object is built.
+MAX_DIM = 256
 
 
 def extreme_rays(A: Mat) -> tuple[Vec, ...]:
@@ -93,6 +99,18 @@ class OrderedSpace:
     def m(self) -> int:
         return len(self.F)
 
+    @cached_property
+    def row_basis(self) -> tuple[tuple[int, ...], Mat, Mat]:
+        """(B, F_B^{-1}, F F_B^{-1}) for B = independent_subset(F).
+
+        Row i of F F_B^{-1} holds the coordinates of facet row i in the basis
+        of rows B: f_i = g_i F_B.  Its rows in B are the unit vectors.
+        """
+        B = independent_subset(self.F)
+        Binv = invert(tuple(self.F[i] for i in B))
+        BinvT = transpose(Binv)
+        return B, Binv, tuple(mat_vec(BinvT, f) for f in self.F)
+
 
 def _clean_rows(rows, dim: int, what: str) -> Mat:
     out: list[Vec] = []
@@ -119,8 +137,8 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
     rows come out in lexicographic order; rows the caller supplied keep the
     caller's order whenever they already equal the canonical set.
     """
-    if dim < 1:
-        raise ParseError("dimension must be at least 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise ParseError(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
     if generators is None and facets is None:
         raise ParseError("need generators or facets")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .cones import OrderedSpace, build_space
+from .cones import MAX_DIM, OrderedSpace, build_space
 from .errors import ParseError, UnknownBuiltin
 from .linalg import Mat, Vec, mat, mat_vec, vec
 
@@ -25,8 +25,8 @@ def four_ray() -> OrderedSpace:
 
 def simplex(n: int) -> OrderedSpace:
     """Q^n under the coordinatewise order (standard simplicial cone)."""
-    if n < 1:
-        raise ParseError("simplex dimension must be at least 1")
+    if not 1 <= n <= MAX_DIM:
+        raise ParseError(f"simplex dimension must be between 1 and {MAX_DIM}, got {n}")
     eye = mat([[1 if j == i else 0 for j in range(n)] for i in range(n)])
     return build_space(n, generators=eye, facets=eye, name=f"simplex:{n}")
 

@@ -1,7 +1,9 @@
 """Exact linear algebra over rational vectors.
 
 Vectors are tuples of Fraction, matrices are tuples of row vectors.
-Everything is exact; nothing here touches floats.
+Everything is exact; nothing here touches floats.  Elimination runs on rows
+scaled to Python ints, one fraction-free pivot at a time (`_pivot`), and
+divides by the pivot entries only when it hands back Fractions.
 """
 
 from __future__ import annotations
@@ -52,13 +54,22 @@ def is_zero_vec(v: Vec) -> bool:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
+    """u . v, summed over one running common denominator into one Fraction."""
     if len(u) != len(v):
         raise ValueError("dot of vectors with different lengths")
-    acc = ZERO
+    num, den = 0, 1
     for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b
-    return acc
+        an, ad = a.as_integer_ratio()
+        if an:
+            bn, bd = b.as_integer_ratio()
+            if bn:
+                d = ad * bd
+                if d == den:
+                    num += an * bn
+                else:
+                    num = num * d + an * bn * den
+                    den *= d
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -102,59 +113,101 @@ def support(v: Vec) -> frozenset[int]:
     return frozenset(i + 1 for i, e in enumerate(v) if e != 0)
 
 
+def _ints(v) -> tuple[int, list[int]]:
+    """(d, d*v) for d the lcm of the denominators of v: v as a row of ints."""
+    d = lcm(*[e.denominator for e in v])
+    if d == 1:
+        return 1, [e.numerator for e in v]
+    return d, [e.numerator * (d // e.denominator) for e in v]
+
+
+def _coprime(v) -> list[int]:
+    """v scaled by a positive rational to coprime ints; 0 stays 0."""
+    row = _ints(v)[1]
+    g = gcd(*row)
+    return [e // g for e in row] if g > 1 else row
+
+
+def _fractions(row: list[int]) -> Vec:
+    return tuple([Fraction(e) for e in row])
+
+
 def primitive(v: Vec) -> Vec:
     """Scale by a positive rational so entries are coprime integers.
 
     Direction is preserved (no sign flip); the zero vector is returned as is.
     """
-    if is_zero_vec(v):
-        return v
-    denom = lcm(*(e.denominator for e in v))
-    ints = [int(e * denom) for e in v]
-    g = gcd(*ints)
-    return tuple(Fraction(k // g) for k in ints)
+    row = _coprime(v)
+    return _fractions(row) if any(row) else v
 
 
-def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
-    """One Gauss-Jordan step on T in place.
+def _pivot(T: list[list[int]], r: int, c: int) -> None:
+    """One fraction-free Gauss-Jordan step on integer rows, in place.
 
-    Scales row r so that T[r][c] = 1, then clears column c from every other
-    row.  Every exact elimination in the package, `rref` and the simplex
-    tableaus, is a sequence of these steps.
+    Each row stands for a positive multiple of a rational row.  Row r is
+    negated if needed so that its pivot entry p = T[r][c] is positive.  Every
+    other row with an entry f != 0 in column c becomes p*row - f*T[r], which
+    clears column c, divided by its gcd.  Both are positive multiples of what
+    rational elimination gives, so zero patterns, signs and ratios within a
+    row are those of the rational step.  Every exact elimination in the
+    package, `rref` and the simplex tableau, is a sequence of these steps.
     """
     row = T[r]
-    piv = row[c]
-    if piv != 1:
-        row = T[r] = [e / piv for e in row]
+    p = row[c]
+    if p < 0:
+        row = T[r] = [-e for e in row]
+        p = -p
     for i, other in enumerate(T):
         f = other[c]
-        if i != r and f != 0:
-            T[i] = [e - f * p for e, p in zip(other, row)]
+        if f and i != r:
+            new = [p * e - f * q if q else p * e for e, q in zip(other, row)]
+            g = gcd(*new)
+            T[i] = [e // g for e in new] if g > 1 else new
 
 
-def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in M]
+def _echelon(M) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced row echelon form of M and its pivot columns.
+
+    Each row is scaled to coprime ints and reduced by `_pivot`.  The pivot
+    rows come first, each a positive multiple of the rational RREF row with
+    coprime entries, so it is primitive(R[i]) for the RREF R; the rest are 0.
+    """
+    rows = [_coprime(v) for v in M]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         _pivot(rows, r, c)
         pivots.append(c)
         if len(pivots) == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, pivots
+
+
+def _over(row: list[int], p: int) -> Vec:
+    """The rational row row / p."""
+    return tuple([ZERO if not e else ONE if e == p else Fraction(e, p) for e in row])
+
+
+def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices."""
+    rows, pivots = _echelon(M)
+    R = [_over(row, row[c]) for row, c in zip(rows, pivots)]
+    R += [(ZERO,) * len(row) for row in rows[len(pivots):]]
+    return tuple(R), tuple(pivots)
 
 
 def rank(M: Mat) -> int:
     if not M:
         return 0
-    return len(rref(M)[1])
+    return len(_echelon(M)[1])
 
 
 def solve_linear(A: Mat, b: Vec) -> Vec | None:
@@ -166,12 +219,13 @@ def solve_linear(A: Mat, b: Vec) -> Vec | None:
         raise ValueError("solve_linear needs a nonempty matrix")
     n = len(A[0])
     aug = tuple(row + (bi,) for row, bi in zip(A, b, strict=True))
-    R, pivots = rref(aug)
+    rows, pivots = _echelon(aug)
     if n in pivots:
         return None  # pivot in the constant column: inconsistent
     x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        x[c] = R[i][n]
+    for row, c in zip(rows, pivots):
+        if row[n]:
+            x[c] = Fraction(row[n], row[c])
     return tuple(x)
 
 
@@ -180,26 +234,30 @@ def nullspace(A: Mat) -> Mat:
     if not A:
         raise ValueError("nullspace needs at least the column count; pass a nonempty matrix")
     n = len(A[0])
-    R, pivots = rref(A)
+    rows, pivots = _echelon(A)
     free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return ()
+    # x_fc = 1 and x_pc = -R[i][fc] for the RREF R, scaled by the lcm of the pivots.
+    scale = lcm(*[row[c] for row, c in zip(rows, pivots)])
     basis = []
     for fc in free:
-        v = [ZERO] * n
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
-        basis.append(tuple(v))
-    return canonical_subspace_basis(tuple(basis), n)
+        v = [0] * n
+        v[fc] = scale
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(v)
+    return canonical_subspace_basis(basis, n)
 
 
 def invert(M: Mat) -> Mat | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(M)
     aug = tuple(row + tuple(ONE if j == i else ZERO for j in range(n)) for i, row in enumerate(M))
-    R, pivots = rref(aug)
+    rows, pivots = _echelon(aug)
     if len(pivots) < n or any(p >= n for p in pivots):
         return None
-    return tuple(row[n:] for row in R)
+    return tuple(_over(row[n:], row[i]) for i, row in enumerate(rows))
 
 
 def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:
@@ -212,8 +270,8 @@ def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:
         return ()
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
-    R, pivots = rref(vectors)
-    return tuple(primitive(R[i]) for i in range(len(pivots)))
+    rows, pivots = _echelon(vectors)
+    return tuple(_fractions(row) for row in rows[: len(pivots)])
 
 
 def independent_subset(rows: Mat) -> tuple[int, ...]:
@@ -222,7 +280,7 @@ def independent_subset(rows: Mat) -> tuple[int, ...]:
     Row i is kept iff it is not in the span of rows 0..i-1, i.e. iff column i
     of the transpose is a pivot column.
     """
-    return rref(transpose(rows))[1]
+    return tuple(_echelon(transpose(rows))[1])
 
 
 def in_span(vectors: Mat, x: Vec, n: int) -> bool:

@@ -1,10 +1,14 @@
 """Exact linear programming over the rationals.
 
 Two-phase primal simplex with Bland's rule, so every run terminates and the
-reported optimum is exact.  One dense tableau over Fraction is carried through
-phase 1, the purge of artificials still basic at zero, and phase 2; every
-pivot is `linalg._pivot`.  Problems are tiny here (tens of variables), which
-makes dense tableaus over Fraction the right trade.
+reported optimum is exact.  One dense tableau of integer rows is carried
+through phase 1, the purge of artificials still basic at zero, and phase 2;
+every pivot is the fraction-free `linalg._pivot`, and each row is a positive
+multiple of its rational row, so signs and ratio tests read off the integers
+directly (fraction-free simplex over a common denominator: Applegate, Cook,
+Dash & Espinoza, Oper. Res. Lett. 35, 2007).  Fractions are built only for
+the optimal point.  Problems are tiny here (tens of variables), which makes
+dense tableaus the right trade.
 
 There is one solver, `lp_nonneg`, over {x : A x >= b, x >= 0}.  `lp`, over
 {x : A x >= b} with x free, runs it on the columns [A | -A] and reads back
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat, Vec, ZERO, _pivot, dot, vsub, zero_vec
+from .linalg import Mat, Vec, _ints, _pivot, dot, vsub, zero_vec
 
 
 @dataclass(frozen=True)
@@ -59,64 +63,71 @@ class Infeasible:
 LPResult = Optimal | Unbounded | Infeasible
 
 
-def _simplex(T: list[list[Fraction]], basis: list[int], c: Vec):
-    """Bland's loop, in place, on a tableau reduced on `basis`.
+def _simplex(T: list[list[int]], basis: list[int]) -> bool:
+    """Bland's loop, in place, on an integer tableau reduced on `basis`.
 
-    Row i of T owns basis[i]: it holds the identity in that column, and its
-    last entry, the basic value, is nonnegative.  Columns past len(c) are
-    ignored.  Returns ('optimal', value, x, basis) or ('unbounded',).
+    Row i < len(basis) owns basis[i]: its entry there is positive, its other
+    basic entries are 0, and its last entry is >= 0, so basic variable
+    basis[i] has the value T[i][-1] / T[i][basis[i]].  The last row holds
+    the reduced costs, up to a positive factor, with 0 on every basic
+    column.  Pivots keep all of this, so the entering column is the least
+    one with a positive reduced cost, and the ratio test compares ratios
+    crosswise.  Returns True at an optimum and False when unbounded.
     """
-    k = len(T)
-    N = len(c)
-    in_basis = set(basis)
+    k = len(basis)
     while True:
-        cb = [c[j] for j in basis]
-        entering = -1
-        for j in range(N):  # Bland: smallest improving index enters
-            if j in in_basis:
-                continue
-            red = c[j] - sum(cb[i] * T[i][j] for i in range(k) if T[i][j] != 0)
-            if red > 0:
-                entering = j
-                break
+        obj = T[k]
+        # Bland: the smallest improving column enters.
+        entering = next((j for j in range(len(obj) - 1) if obj[j] > 0), -1)
         if entering < 0:
-            x = list(zero_vec(N))
-            for i, col in enumerate(basis):
-                x[col] = T[i][-1]
-            value = sum((c[j] * x[j] for j in in_basis), start=ZERO)
-            return ("optimal", value, tuple(x), basis)
+            return True
         leave = -1
-        best = None
         for i in range(k):
             a = T[i][entering]
             if a > 0:
-                ratio = T[i][-1] / a
+                if leave < 0:
+                    leave = i
+                    continue
                 # Bland again: break ratio ties on the smallest basic index.
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                lhs = T[i][-1] * T[leave][entering]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return ("unbounded",)
+            return False
         _pivot(T, leave, entering)
-        in_basis.discard(basis[leave])
-        in_basis.add(entering)
         basis[leave] = entering
+
+
+def _price(T: list[list[int]], basis: list[int], cost: list[int]) -> None:
+    """Append the reduced-cost row of the integer objective row `cost`.
+
+    The row is cleared on each basic column by the pivot on that column's
+    row, which changes no other row of the reduced tableau T.
+    """
+    T.append(cost)
+    for i, j in enumerate(basis):
+        if cost[j]:
+            _pivot(T, i, j)
+            cost = T[-1]
 
 
 def lp_nonneg(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
     """Optimize an exact linear objective over {x : A x >= b, x >= 0}.
 
-    One tableau serves both phases.  Its start basis is the identity: the
-    slack of each row with b_i <= 0, an artificial for each other row.
-    Phase 1 maximizes minus the sum of the artificials; a nonzero optimum
-    proves the polyhedron empty.  Otherwise each artificial still basic (at
-    zero) is pivoted out on its row's first nonzero non-artificial entry.  One
-    exists: every row owns a slack, so the non-artificial columns have full
-    row rank, and no row is ever redundant.  The pivot is on a row whose
-    value is 0, so the basis stays feasible.  Slicing off the artificial
-    columns then leaves a tableau reduced on a feasible basis, on which
-    phase 2 runs.  With no row b_i > 0 there are no artificials, phase 1 is
-    skipped, and a zero objective then costs no pivot at all.
+    One tableau serves both phases.  Its rows are integer: each constraint
+    row is scaled by the lcm of its denominators, and every pivot is the
+    fraction-free `linalg._pivot`.  Its start basis is the slack of each row
+    with b_i <= 0 and an artificial for each other row.  Phase 1 maximizes
+    minus the sum of the artificials; a nonzero optimum proves the
+    polyhedron empty.  Otherwise each artificial still basic (at zero) is
+    pivoted out on its row's first nonzero non-artificial entry.  One exists:
+    every row owns a slack, so the non-artificial columns have full row
+    rank, and no row is ever redundant.  The pivot is on a row whose value
+    is 0, so the basis stays feasible.  Slicing off the artificial columns
+    then leaves a tableau reduced on a feasible basis, on which phase 2 runs.
+    With no row b_i > 0 there are no artificials, phase 1 is skipped, and a
+    zero objective then costs no pivot at all.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"bad sense {sense!r}")
@@ -127,28 +138,30 @@ def lp_nonneg(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
     # Variables: x(n), one slack per row, artificials last.
     first_art = n + k
     na = sum(beta > 0 for beta in P.b)
-    T: list[list[Fraction]] = []
+    T: list[list[int]] = []
     basis: list[int] = []
     art = first_art
     for i, (a, beta) in enumerate(zip(P.A, P.b, strict=True)):
+        d, ints = _ints(list(a) + [beta])
+        row = ints[:n] + [0] * (k + na) + ints[n:]
         if beta <= 0:
             # Orient as (-a).x + s = -beta so the slack can start basic.
-            row = [-e for e in a] + [ZERO] * (k + na) + [-beta]
-            row[n + i] = Fraction(1)
+            row = [-e for e in row]
+            row[n + i] = d
             basis.append(n + i)
         else:
             # a.x - s + t = beta, with the artificial t basic.
-            row = list(a) + [ZERO] * (k + na) + [beta]
-            row[n + i] = Fraction(-1)
-            row[art] = Fraction(1)
+            row[n + i] = -d
+            row[art] = d
             basis.append(art)
             art += 1
         T.append(row)
     if na:
-        res = _simplex(T, basis, zero_vec(first_art) + (Fraction(-1),) * na)
-        if res[0] != "optimal":
+        _price(T, basis, [0] * first_art + [-1] * na + [0])
+        if not _simplex(T, basis):
             raise ArithmeticError("phase 1 reported unbounded, but its objective is at most 0")
-        if res[1] != 0:
+        T.pop()
+        if any(T[i][-1] for i, j in enumerate(basis) if j >= first_art):
             return Infeasible()
         for i in range(len(T)):
             if basis[i] >= first_art:
@@ -157,11 +170,16 @@ def lp_nonneg(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
                 basis[i] = j
         T = [row[:first_art] + row[-1:] for row in T]
 
-    res = _simplex(T, basis, tuple(c_obj) + zero_vec(k))
-    if res[0] == "unbounded":
+    _price(T, basis, _ints(c_obj)[1] + [0] * (k + 1))
+    if not _simplex(T, basis):
         return Unbounded()
-    _, value, x, _ = res
-    return Optimal(value if sense == "max" else -value, tuple(x[:n]))
+    x = list(zero_vec(n))
+    for row, j in zip(T, basis):
+        if j < n and row[-1]:
+            x[j] = Fraction(row[-1], row[j])
+    point = tuple(x)
+    value = dot(c_obj, point)
+    return Optimal(value if sense == "max" else -value, point)
 
 
 def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:

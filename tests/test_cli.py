@@ -212,6 +212,18 @@ def test_space_files(tmp_path, capsys):
     assert code == 1 and "NotGenerating" in err
 
 
+def test_huge_dimensions_are_refused_before_any_work(tmp_path, capsys):
+    # The dimension bound refuses these before anything of that size is built.
+    code, _, err = run(["classify", "--example", "simplex:10000000"], capsys)
+    assert code == 2 and "between 1 and 256" in err
+    code, _, err = run(["classify", "--example", "simplex:257"], capsys)
+    assert code == 2
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 10000000, "generators": [[1]]}')
+    code, _, err = run(["classify", "--space", str(huge)], capsys)
+    assert code == 2 and "between 1 and 256" in err
+
+
 def test_dcomp_check_reports_non_solid_line(tmp_path, capsys):
     cone = tmp_path / "s.json"
     cone.write_text('{"dim": 2, "generators": [[2, 1], [1, 2]]}')

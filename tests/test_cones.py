@@ -82,6 +82,10 @@ def test_rejections():
         build_space(2, generators=mat([(1, 0, 0)]))
     with pytest.raises(ParseError):
         build_space(2, generators=mat([(0, 0), (1, 0)]))
+    with pytest.raises(ParseError, match="between 1 and 256"):  # before the rows are looked at
+        build_space(257, generators=mat([(1, 0)]))
+    with pytest.raises(ParseError, match="between 1 and 256"):
+        simplex(10_000_000)
 
 
 def test_four_ray_order_facts():
@@ -196,6 +200,20 @@ def test_archimedean_certificate():
     assert not leq(S, vec([n * e for e in V1]), vec([0, 0, 10]))
     assert leq(S, vec([(n - 1) * e for e in V1]), vec([0, 0, 10])) or b < n - 1
     assert archimedean_certificate(S, vec([-e for e in V1]), vec([0, 0, 1])) is None
+
+
+def test_row_basis_is_computed_once_and_left_out_of_equality():
+    rng = random.Random(4410)
+    for space in [four_ray(), simplex(3)] + [random_space(rng) for _ in range(10)]:
+        fresh = build_space(space.dim, generators=space.generators, facets=space.F, name=space.name)
+        B, Binv, G = space.row_basis
+        assert space.row_basis is space.row_basis  # cached on the space
+        FB = tuple(space.F[i] for i in B)
+        eye = mat([[int(t == u) for u in range(space.dim)] for t in range(space.dim)])
+        assert len(B) == space.dim and tuple(mat_vec(FB, col) for col in transpose(Binv)) == eye
+        assert tuple(G[i] for i in B) == eye
+        assert tuple(mat_vec(transpose(FB), g) for g in G) == space.F  # f_i = g_i F_B
+        assert space == fresh and repr(space) == repr(fresh)
 
 
 def test_extreme_rays_trivial_cone():

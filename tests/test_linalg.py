@@ -166,3 +166,149 @@ def test_misc_helpers():
     R, piv = rref(mat([[0, 2], [1, 1]]))
     assert piv == (0, 1) and R == mat([[1, 0], [0, 1]])
     assert rank(F4) == 3
+
+
+# --- the Fraction Gauss-Jordan kernel that the integer one replaced, as its oracle
+
+
+def oracle_rref(M):
+    """RREF by Gauss-Jordan over Fraction: scale the pivot row to 1, clear the column."""
+    rows = [[Fraction(e) for e in r] for r in M]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        rows[r] = [e / piv for e in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def oracle_canonical(vectors, n):
+    if not vectors:
+        return ()
+    R, pivots = oracle_rref(vectors)
+    return tuple(primitive(R[i]) for i in range(len(pivots)))
+
+
+def oracle_nullspace(A):
+    n = len(A[0])
+    R, pivots = oracle_rref(A)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -R[i][fc]
+        basis.append(tuple(v))
+    return oracle_canonical(tuple(basis), n)
+
+
+def oracle_solve(A, b):
+    n = len(A[0])
+    R, pivots = oracle_rref(tuple(row + (bi,) for row, bi in zip(A, b)))
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        x[c] = R[i][n]
+    return tuple(x)
+
+
+def oracle_invert(M):
+    n = len(M)
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    R, pivots = oracle_rref(tuple(row + e for row, e in zip(M, eye)))
+    if pivots != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in R)
+
+
+def random_entry(rng):
+    k = rng.random()
+    if k < 0.35:
+        return Fraction(0)
+    if k < 0.65:
+        return Fraction(rng.randint(-6, 6))
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+
+
+def random_matrix(rng, rows, cols):
+    """Rational entries, with duplicated, scaled and zero rows and zero columns."""
+    M = [[random_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.4:
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        s = Fraction(rng.choice([-3, -1, 1, 2, 7]), rng.choice([1, 2, 9]))
+        M[j] = [s * e for e in M[i]]
+    if rng.random() < 0.2:
+        M[rng.randrange(rows)] = [Fraction(0)] * cols
+    if rng.random() < 0.2:
+        k = rng.randrange(cols)
+        for row in M:
+            row[k] = Fraction(0)
+    return tuple(tuple(row) for row in M)
+
+
+def all_fractions(value):
+    """Every number in a nested tuple is a Fraction (the API returns no ints)."""
+    if isinstance(value, tuple):
+        return all(all_fractions(e) for e in value)
+    return isinstance(value, Fraction)
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    rng = random.Random(61_2024)
+    shapes = [(1, 1)] * 40 + [(r, c) for r in range(1, 7) for c in range(1, 7)] * 16
+    for rows, cols in shapes:
+        M = random_matrix(rng, rows, cols)
+        R, pivots = rref(M)
+        assert (R, pivots) == oracle_rref(M)
+        assert all_fractions(R)
+        assert rank(M) == len(pivots)
+        null = nullspace(M)
+        assert null == oracle_nullspace(M) and all_fractions(null)
+        basis = canonical_subspace_basis(M, cols)
+        assert basis == oracle_canonical(M, cols) and all_fractions(basis)
+        assert independent_subset(M) == oracle_rref(transpose(M))[1]
+        b = tuple(random_entry(rng) for _ in range(rows))
+        x = solve_linear(M, b)
+        assert x == oracle_solve(M, b) and (x is None or all_fractions(x))
+        S = random_matrix(rng, cols, cols)  # singular when a row is scaled or zeroed
+        inv = invert(S)
+        assert inv == oracle_invert(S) and (inv is None or all_fractions(inv))
+    assert len(shapes) >= 500
+
+
+def test_integer_kernel_on_edge_shapes():
+    zero = mat([[0, 0, 0], [0, 0, 0]])
+    assert rref(zero) == oracle_rref(zero) == (zero, ())
+    assert nullspace(zero) == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert invert(mat([["-2/3"]])) == mat([["-3/2"]])
+    assert invert(mat([[0]])) is None
+    assert invert(()) == ()
+    assert rref(()) == ((), ())
+    assert solve_linear(mat([["1/2", 0]]), vec([0])) == vec([0, 0])
+
+
+def test_dot_sums_over_a_common_denominator():
+    rng = random.Random(9090)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        u = [random_entry(rng) for _ in range(n)]
+        v = [rng.choice([random_entry(rng), rng.randint(-9, 9)]) for _ in range(n)]
+        got = dot(u, v)
+        assert got == sum((a * b for a, b in zip(u, v)), Fraction(0))
+        assert isinstance(got, Fraction)
+    assert dot((0, 0), (Fraction(1, 3), 5)) == 0
+    assert dot((), ()) == 0 and isinstance(dot((), ()), Fraction)
+    assert dot((2, 3), (4, 5)) == Fraction(23)
+    assert dot(vec(["1/6", "1/10", "-1/15"]), vec([1, 1, 1])) == Fraction(1, 5)
+    with pytest.raises(ValueError):
+        dot((1,), (1, 2))

@@ -1,4 +1,4 @@
-"""Checks on the package source: no dead imports, no bare asserts, a light import."""
+"""Checks on the package source: no dead imports, no bare asserts, an integer kernel, a light import."""
 
 import ast
 import os
@@ -53,6 +53,39 @@ def test_no_bare_assert_in_the_certified_layers():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def rational_steps(func: ast.FunctionDef) -> list[str]:
+    """`Fraction(...)` calls and true divisions inside a function."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+            found.append(f"Fraction( at line {node.lineno}")
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"/ at line {node.lineno}")
+    return found
+
+
+def function(module: str, name: str) -> ast.FunctionDef:
+    return next(
+        node
+        for node in ast.walk(tree(PACKAGE / f"{module}.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_rational_steps_are_detected():
+    src = "def f(a, b):\n    c = a // b\n    c /= 2\n    return Fraction(a) + a / b\n"
+    assert rational_steps(ast.parse(src).body[0]) == ["/ at line 3", "Fraction( at line 4", "/ at line 4"]
+
+
+def test_elimination_kernel_stays_on_integers():
+    # The pivot and the simplex loop run on integer rows; only their callers
+    # build Fractions.
+    assert {f"{m}.{f}": rational_steps(function(m, f)) for m, f in (("linalg", "_pivot"), ("lp", "_simplex"))} == {
+        "linalg._pivot": [],
+        "lp._simplex": [],
+    }
 
 
 def test_import_leaves_the_front_end_unloaded():
