@@ -20,17 +20,17 @@ from .bands import (
     Band,
     DEFAULT_ENUMERATION_CAP,
     Subspace,
-    atom_supports,
     band_of,
     disjoint_complement,
-    enumerate_band_pairs,
     is_band,
     is_disjoint,
+    kernel_of_rows,
     positive_generators,
     vanish_set,
 )
 from .cones import OrderedSpace, embed, in_cone, leq
 from .errors import (
+    CapExceeded,
     CertificateError,
     NotABand,
     NotAtom,
@@ -46,7 +46,6 @@ from .linalg import (
     ZERO,
     canonical_subspace_basis,
     dot,
-    invert,
     is_zero_vec,
     mat_vec,
     primitive,
@@ -90,7 +89,7 @@ def is_discrete(space: OrderedSpace, x: Vec) -> bool:
     if is_zero_vec(x) or not in_cone(space, x):
         raise NotPositive("is_discrete needs x > 0")
     face = support(embed(space, x))
-    inside = [s for s in atom_supports(space) if s <= face]
+    inside = [s for s in space.atom_supports if s <= face]
     return all(s & t for s, t in combinations(inside, 2))
 
 
@@ -141,7 +140,7 @@ def classify(space: OrderedSpace) -> Classification:
     """
     gens = space.generators
     lattice = _is_simplicial(space)
-    pairs = combinations(zip(gens, atom_supports(space)), 2)
+    pairs = combinations(zip(gens, space.atom_supports), 2)
     overlap = next(((a, b) for (a, s), (b, t) in pairs if s & t), None)
     return Classification(
         is_lattice=lattice,
@@ -183,7 +182,7 @@ def pervasive_witness_check(space: OrderedSpace, b: Vec):
     if all(e == 0 for e in p):
         return Inapplicable()
     inside = support(p)
-    for g, s in zip(space.generators, atom_supports(space)):
+    for g, s in zip(space.generators, space.atom_supports):
         if s <= inside:
             Fg = embed(space, g)
             return Witness(vscale(min(p[j - 1] / Fg[j - 1] for j in s), g))
@@ -262,56 +261,59 @@ def _show(v: Vec) -> str:
     return "[" + ", ".join(map(str, v)) + "]"
 
 
-def _project(space: OrderedSpace, B, complement: Subspace) -> ProjectionReport:
-    """Build the projection onto the band B along `complement`, and check it.
+def _project(space: OrderedSpace, B, L: frozenset[int]) -> ProjectionReport:
+    """Build the projection onto the band B = ker F_L along ker F_{[m]-L}, and check it.
 
-    No projection exists unless the dimensions add up to n.  Otherwise the
-    projection is the certificate: the two subspaces must meet only in 0, and
-    P must be idempotent and keep every atom g positive together with g - P g
-    (positivity on the generators suffices for a polyhedral cone).  A failed
+    L is the band's maximal zero set.  The band is a projection band iff L is
+    a union of the matroid's components (`OrderedSpace.components`), i.e.
+    iff r(L) + r([m] - L) = n.  Then the basis rows R of `row_basis` split
+    into bases of the rows in L and of the rest, and P = F_R^{-1} E F_R, with
+    E dropping the basis rows in L, is the projection: F P x is F x with the
+    rows of L set to 0.  P is the certificate: it must be idempotent and
+    every atom g must satisfy that image equation.  The atoms span Q^n and F
+    is injective, so the equation pins P's range and kernel, and it keeps
+    P g and g - P g positive, as their images split F g >= 0.  A failed
     check raises CertificateError.
     """
-    carrier = B.carrier if isinstance(B, Band) else B
-    n = space.dim
-    k = carrier.dim
-    if k + complement.dim != n:
+    if any(c & L and not c <= L for c in space.components):
         return ProjectionReport(B, False, None)
-    M = transpose(carrier.basis + complement.basis)
-    Minv = invert(M)
-    if Minv is None:
-        raise CertificateError("band and complement of complementary dimensions meet outside 0")
-    # Column c of P = M (first k coordinates of column c of M^{-1}, the rest 0).
-    cols = tuple(mat_vec(M, col[:k] + zero_vec(n - k)) for col in transpose(Minv))
+    R, Rinv, _ = space.row_basis
+    kept = tuple(tuple(ZERO if i + 1 in L else e for e, i in zip(row, R)) for row in Rinv)
+    cols = tuple(mat_vec(kept, col) for col in transpose(tuple(space.F[i] for i in R)))
     P = transpose(cols)
     if tuple(mat_vec(P, col) for col in cols) != cols:
         raise CertificateError("band projection is not idempotent")
     for g in space.generators:
-        Pg = mat_vec(P, g)
-        if not (in_cone(space, Pg) and in_cone(space, vsub(g, Pg))):
-            raise CertificateError(f"band projection does not split the atom {_show(g)} positively")
+        image = tuple(ZERO if j in L else e for j, e in enumerate(embed(space, g), 1))
+        if embed(space, mat_vec(P, g)) != image:
+            raise CertificateError(f"band projection does not split the atom {_show(g)} along its facets")
     return ProjectionReport(B, True, P)
 
 
 def is_projection_band(space: OrderedSpace, B: Band) -> ProjectionReport:
-    """Whether X = B + B^d directly; if so, build and verify the band projection.
-
-    Distinct bands always meet their complement in 0, so the direct-sum test
-    is a dimension count.
-    """
+    """Whether X = B + B^d directly; if so, build and verify the band projection."""
     if not is_band(space, B):
         raise NotABand("is_projection_band needs a band")
     carrier = B.carrier if isinstance(B, Band) else B
-    return _project(space, B, disjoint_complement(space, carrier).carrier)
+    return _project(space, B, vanish_set(space, carrier))
 
 
 def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP):
-    """One report per projection band; the trivial pair {0, X} always appears.
+    """One report per projection band, ordered by (dimension, basis).
 
-    Each band comes with its complement from the band enumeration, so only
-    the projection itself is built and checked.
+    The projection bands are the kernels of the 2^c unions L of the c
+    components, so {0, X} always appears.  Each is directed, since P maps the
+    generating cone onto its positive part.  Refuses c > cap (CapExceeded);
+    c <= m, so no space with at most cap facets is refused.
     """
-    reports = (_project(space, band, comp.carrier) for band, comp in enumerate_band_pairs(space, cap))
-    return tuple(rep for rep in reports if rep.is_projection_band)
+    comps = space.components
+    if len(comps) > cap:
+        raise CapExceeded(f"order projections over 2^{len(comps)} unions of components exceed 2^{cap}")
+    reports = []
+    for mask in range(1 << len(comps)):
+        L = frozenset().union(*[c for t, c in enumerate(comps) if mask >> t & 1])
+        reports.append(_project(space, Band(kernel_of_rows(space, L), L, True), L))
+    return tuple(sorted(reports, key=lambda r: (r.band.carrier.dim, r.band.carrier.basis)))
 
 
 # --- Riesz decomposition probes ----------------------------------------------
@@ -426,7 +428,7 @@ def _not_an_ideal(space: OrderedSpace, S: Subspace, label: str) -> str:
     Fd = embed(space, d)
     outside = (
         g
-        for g, s in zip(space.generators, atom_supports(space))
+        for g, s in zip(space.generators, space.atom_supports)
         if s <= support(Fd) and not S.contains(g)
     )
     g = next(outside, None)

@@ -94,11 +94,6 @@ def union_support(space: OrderedSpace, vectors) -> frozenset[int]:
     return frozenset(out)
 
 
-def atom_supports(space: OrderedSpace) -> tuple[frozenset[int], ...]:
-    """supp(F g) for each atom g, in generator order: the atoms' facet images."""
-    return space.atom_supports
-
-
 def kernel_of_rows(space: OrderedSpace, J) -> Subspace:
     """{x : f_j(x) = 0 for all j in J} as a canonical subspace."""
     J = sorted(set(J))
@@ -223,16 +218,15 @@ def _flats(space: OrderedSpace, cap: int):
     return kernels, covers
 
 
-def enumerate_band_pairs(
-    space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[tuple[Band, Band], ...]:
-    """Every band with its disjoint complement, ordered by (dimension, basis).
+def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Band, ...]:
+    """All bands, ordered by (dimension, basis), with maximal zero sets.
 
     Every disjoint complement is a row kernel, so every band is one too: the
     kernel of a flat L, whose images have support [m] - L.  Its complement is
     the kernel of cl([m] - L), and it is a band iff the complement of that is
     it again: cl([m] - cl([m] - L)) = L.  Closures are walks up the covers,
-    and zero sets are reported maximal (they are the flats).
+    and zero sets are reported maximal (they are the flats).  Refuses spaces
+    whose facet rows have more than 2^cap flats (CapExceeded).
     """
     kernels, covers = _flats(space, cap)
     full = frozenset(range(1, space.m + 1))
@@ -245,21 +239,12 @@ def enumerate_band_pairs(
         return C
 
     complement = {L: closure(full - L) for L in kernels}
-    bands = {
-        L: Band(K, L, _kernel_is_directed(space, L, K))
+    bands = (
+        Band(K, L, _kernel_is_directed(space, L, K))
         for L, K in kernels.items()
         if complement[complement[L]] == L
-    }
-    pairs = ((band, bands[complement[L]]) for L, band in bands.items())
-    return tuple(sorted(pairs, key=lambda p: (p[0].carrier.dim, p[0].carrier.basis)))
-
-
-def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Band, ...]:
-    """All bands, ordered by (dimension, basis), with maximal zero sets.
-
-    Refuses spaces whose facet rows have more than 2^cap flats (CapExceeded).
-    """
-    return tuple(band for band, _ in enumerate_band_pairs(space, cap))
+    )
+    return tuple(sorted(bands, key=lambda b: (b.carrier.dim, b.carrier.basis)))
 
 
 def principal_ideal_member(space: OrderedSpace, x: Vec, a: Vec) -> bool:

@@ -73,24 +73,6 @@ from .seqspace import (
     seq_to_json,
 )
 
-VERBS = (
-    "classify",
-    "atoms",
-    "disjoint",
-    "dcomp",
-    "band",
-    "bands",
-    "projections",
-    "lambda",
-    "decompose",
-    "rdp",
-    "sup",
-    "extend",
-    "restrict",
-    "seq-demo",
-    "selftest",
-)
-
 
 @dataclass(frozen=True)
 class Command:

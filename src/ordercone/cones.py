@@ -111,6 +111,25 @@ class OrderedSpace:
         BinvT = transpose(Binv)
         return B, Binv, tuple(mat_vec(BinvT, f) for f in self.F)
 
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The connected components of the facet rows' matroid, as 1-based
+        row sets ordered by their least row.
+
+        With (B, _, G) = `row_basis`, a row i outside B lies in one
+        fundamental circuit with the basis rows B_t for which G[i][t] != 0,
+        and these circuits link the rows exactly as the matroid's components
+        do (Oxley, Matroid Theory, ch. 4).  A basis row no circuit reaches is
+        a coloop, a component by itself.
+        """
+        B, _, G = self.row_basis
+        comps: list[set[int]] = []
+        for i, g in enumerate(G, 1):
+            linked = {i} | {B[t] + 1 for t, e in enumerate(g) if e != 0}
+            touching = [c for c in comps if c & linked]
+            comps = [c for c in comps if not c & linked] + [linked.union(*touching)]
+        return tuple(sorted(map(frozenset, comps), key=min))
+
 
 def _clean_rows(rows, dim: int, what: str) -> Mat:
     out: list[Vec] = []

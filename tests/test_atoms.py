@@ -672,20 +672,19 @@ def test_check_ideal_decomposition_witnesses_non_solid_lines():
 
 
 def test_projection_certificate_survives_optimize():
-    """Under python -O a wrong complement still fails the projection's checks."""
+    """Under python -O a forged finer component partition still fails the projection's checks."""
     script = "\n".join(
         [
             "from ordercone.atoms import _project",
-            "from ordercone.bands import band_of, subspace",
+            "from ordercone.bands import kernel_of_rows",
             "from ordercone.errors import CertificateError",
-            "from ordercone.fixtures import simplex",
-            "from ordercone.linalg import vec",
+            "from ordercone.fixtures import four_ray",
             "assert False, 'asserts must be stripped'",
-            "sp = simplex(2)",
-            "band = band_of(sp, vec((1, 0)))",
-            "for wrong in ([vec((1, 1))], [vec((1, 0))]):",
+            "sp = four_ray()",
+            "sp.__dict__['components'] = tuple(frozenset({j}) for j in range(1, 5))",
+            "for L in (frozenset({1}), frozenset({1, 2})):",
             "    try:",
-            "        _project(sp, band, subspace(2, wrong))",
+            "        _project(sp, kernel_of_rows(sp, L), L)",
             "    except CertificateError as exc:",
             "        print('CertificateError:', exc)",
             "    else:",

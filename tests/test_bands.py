@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from ordercone.atoms import enumerate_order_projections, is_projection_band
+from ordercone.atoms import ProjectionReport, enumerate_order_projections, is_projection_band
 from ordercone.bands import (
     Band,
     Subspace,
@@ -26,17 +26,18 @@ from ordercone.bands import (
     union_support,
     vanish_set,
 )
-from ordercone.cones import build_space, embed, sup_in_X
+from ordercone.cones import build_space, embed, in_cone, sup_in_X
 from ordercone.errors import CapExceeded, ParseError
 from ordercone.fixtures import (
     four_ray,
     random_polygon_space,
     random_simplicial_space,
     random_space,
+    random_unimodular,
     random_vector,
     simplex,
 )
-from ordercone.linalg import vabs, vadd, vec, vscale
+from ordercone.linalg import invert, mat_vec, rank, transpose, vabs, vadd, vec, vscale, vsub, zero_vec
 from ordercone.lp import Polyhedron, lp
 
 
@@ -396,3 +397,94 @@ def test_order_projections_match_is_projection_band():
         reports = (is_projection_band(sp, band) for band in enumerate_bands(sp))
         expected = tuple(rep for rep in reports if rep.is_projection_band)
         assert enumerate_order_projections(sp) == expected, sp.name
+
+
+def direct_sum(*spaces, scramble=None):
+    """The direct sum of the spaces' cones, its generators mapped by `scramble` if given."""
+    n = sum(sp.dim for sp in spaces)
+    gens, offset = [], 0
+    for sp in spaces:
+        gens += [(0,) * offset + tuple(g) + (0,) * (n - offset - sp.dim) for g in sp.generators]
+        offset += sp.dim
+    if scramble is not None:
+        gens = [mat_vec(scramble, vec(g)) for g in gens]
+    return build_space(n, generators=gens, name=" + ".join(sp.name for sp in spaces))
+
+
+def projection_spaces():
+    rng = random.Random(30510)
+    return oracle_spaces() + [
+        direct_sum(four_ray(), simplex(2)),
+        direct_sum(four_ray(), four_ray(), scramble=random_unimodular(rng, 6)),
+    ]
+
+
+def project_along(space, band, complement):
+    """The route `_project` replaced, kept as its oracle: invert [band basis | complement basis].
+
+    The projection onto the band along the complement keeps the first k
+    coordinates in that basis; it must be idempotent and split every atom
+    positively.
+    """
+    n, k = space.dim, band.carrier.dim
+    if k + complement.dim != n:
+        return ProjectionReport(band, False, None)
+    M = transpose(band.carrier.basis + complement.basis)
+    Minv = invert(M)
+    assert Minv is not None, "band and complement meet outside 0"
+    cols = tuple(mat_vec(M, col[:k] + zero_vec(n - k)) for col in transpose(Minv))
+    P = transpose(cols)
+    assert tuple(mat_vec(P, col) for col in cols) == cols
+    for g in space.generators:
+        assert in_cone(space, mat_vec(P, g)) and in_cone(space, vsub(g, mat_vec(P, g)))
+    return ProjectionReport(band, True, P)
+
+
+def flat_pass_projections(space):
+    """Every band of the flat pass, paired with its disjoint complement and projected along it."""
+    reports = (project_along(space, b, disjoint_complement(space, b).carrier) for b in enumerate_bands(space))
+    return tuple(rep for rep in reports if rep.is_projection_band)
+
+
+def test_order_projections_match_flat_pass_oracle():
+    for sp in projection_spaces():
+        assert enumerate_order_projections(sp) == flat_pass_projections(sp), sp.name
+
+
+def test_is_projection_band_matches_oracle():
+    for sp in projection_spaces():
+        gens = sp.generators
+        principal = [band_of(sp, a) for a in list(gens) + [vadd(g, h) for g, h in zip(gens, gens[1:])]]
+        for band in list(enumerate_bands(sp)) + principal:
+            expected = project_along(sp, band, disjoint_complement(sp, band).carrier)
+            assert is_projection_band(sp, band) == expected, (sp.name, band)
+
+
+def test_components_are_the_minimal_separators():
+    # A separator is a nonempty row set L with r(L) + r([m] - L) = n; the
+    # components are the minimal ones.
+    for sp in projection_spaces():
+        rows = range(1, sp.m + 1)
+
+        def r(L):
+            return rank(tuple(sp.F[j - 1] for j in L))
+
+        subsets = (frozenset(L) for k in range(1, sp.m + 1) for L in combinations(rows, k))
+        seps = [L for L in subsets if r(L) + r(set(rows) - L) == sp.dim]
+        minimal = [L for L in seps if not any(S < L for S in seps)]
+        assert sp.components == tuple(sorted(minimal, key=min)), sp.name
+    assert four_ray().components == (frozenset({1, 2, 3, 4}),)
+    for n in range(1, 6):
+        assert len(simplex(n).components) == n
+
+
+def test_projections_of_four_summed_four_rays():
+    # m = 16: four components give 16 projection bands, read off without
+    # visiting the 12^4 flats.
+    sp = direct_sum(four_ray(), four_ray(), four_ray(), four_ray())
+    assert len(sp.components) == 4
+    reports = enumerate_order_projections(sp)
+    assert len(reports) == 16
+    assert sorted(r.band.carrier.dim for r in reports) == [0] + [3] * 4 + [6] * 6 + [9] * 4 + [12]
+    with pytest.raises(CapExceeded):
+        enumerate_order_projections(sp, cap=3)

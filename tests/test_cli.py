@@ -44,7 +44,7 @@ OPERATION_ROUTES = {
     "pervasive_witness_check": ["classify", *FOUR_RAY, "--witness-probe", "[-1,-1,-1]"],
     "atom_lambda": ["lambda", "--example", "simplex:2", "[3,5]", "[1,0]"],
     "decompose_by_atom": ["decompose", "--example", "simplex:2", "[3,5]", "[1,0]"],
-    "is_projection_band": ["projections", *FOUR_RAY],
+    "is_projection_band": ["dcomp", "--example", "simplex:3", "[1,0,0]", "--check", "[[0,1,0],[0,0,1]]"],
     "enumerate_order_projections": ["projections", *FOUR_RAY],
     "rdp_split": ["rdp", *FOUR_RAY, "[1,0,1]", "[-1,0,1]", "[0,1,1]"],
     "check_ideal_decomposition": [

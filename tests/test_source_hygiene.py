@@ -1,4 +1,4 @@
-"""Checks on the package source: no dead imports, no bare asserts, an integer kernel, a light import."""
+"""Checks on the package source: no dead imports or globals, no bare asserts, an integer kernel, a light import."""
 
 import ast
 import os
@@ -18,6 +18,15 @@ def tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def read_names(module: ast.Module) -> set[str]:
+    """Names the module loads, plus the names its __all__ lists."""
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return read
+
+
 def unread_imports(module: ast.Module) -> list[str]:
     """Names bound by an import and never loaded; names in __all__ count as read."""
     imported = {}
@@ -28,11 +37,26 @@ def unread_imports(module: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(module):
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    read = read_names(module)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def unread_globals(modules: dict[str, ast.Module]) -> list[str]:
+    """Module-level names assigned in one module and read in none of them.
+
+    A name counts as read anywhere in the package; names in __all__ count as
+    read, and dunder names are exempt.
+    """
+    read = set().union(*[read_names(module) for module in modules.values()])
+    found = []
+    for mod, module in modules.items():
+        for node in module.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id not in read and not name.id.startswith("__"):
+                            found.append(f"{mod}.{name.id} (line {node.lineno})")
+    return found
 
 
 def test_unread_imports_are_detected():
@@ -43,6 +67,18 @@ def test_unread_imports_are_detected():
 def test_no_module_imports_a_name_it_never_reads():
     dead = {p.name: unread_imports(tree(p)) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def test_unread_globals_are_detected():
+    modules = {
+        "a": ast.parse("X = 1\nY, Z = 2, 3\nW: int = 4\n__all__ = ['Z']\n"),
+        "b": ast.parse("from a import X\nprint(X)\n"),
+    }
+    assert unread_globals(modules) == ["a.Y (line 2)", "a.W (line 3)"]
+
+
+def test_no_module_level_name_goes_unread():
+    assert unread_globals({p.stem: tree(p) for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
 def test_no_bare_assert_in_the_certified_layers():
