@@ -49,6 +49,7 @@ from .bands import (
     is_disjoint,
     principal_ideal_member,
     restrict_band,
+    restriction_is_projection_band,
     subspace,
     vanish_set,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "is_directed_subspace",
     "extend_band",
     "restrict_band",
+    "restriction_is_projection_band",
     # atoms and decompositions
     "atoms",
     "is_atom",

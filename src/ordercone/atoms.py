@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import mul
 
 from .bands import (
     Band,
     DEFAULT_ENUMERATION_CAP,
     Subspace,
+    _is_separator,
     band_of,
     disjoint_complement,
     is_band,
@@ -44,6 +46,8 @@ from .linalg import (
     ONE,
     Vec,
     ZERO,
+    _coprime,
+    _int_rows,
     canonical_subspace_basis,
     dot,
     is_zero_vec,
@@ -274,20 +278,31 @@ def _project(space: OrderedSpace, B, L: frozenset[int]) -> ProjectionReport:
     is injective, so the equation pins P's range and kernel, and it keeps
     P g and g - P g positive, as their images split F g >= 0.  A failed
     check raises CertificateError.
+
+    The checks run on Python ints.  With D and d the lcms of the denominators
+    of F_R^{-1} and of F_R, P_I = (D F_R^{-1}) E (d F_R) is S P for S = D d;
+    the checks read P_I P_I = S P_I and, with each facet row f and atom g
+    scaled to coprime ints by positive factors, f . P_I g = S (f . g) for f
+    outside L and 0 for f in L.  They hold iff the rational checks do.
     """
-    if any(c & L and not c <= L for c in space.components):
+    if not _is_separator(space, L):
         return ProjectionReport(B, False, None)
     R, Rinv, _ = space.row_basis
-    kept = tuple(tuple(ZERO if i + 1 in L else e for e, i in zip(row, R)) for row in Rinv)
-    cols = tuple(mat_vec(kept, col) for col in transpose(tuple(space.F[i] for i in R)))
-    P = transpose(cols)
-    if tuple(mat_vec(P, col) for col in cols) != cols:
+    D, Rinv_I = _int_rows(Rinv)
+    d, F_R = _int_rows(tuple(space.F[i] for i in R))
+    kept = [t for t, i in enumerate(R) if i + 1 not in L]
+    P = [[sum(row[t] * F_R[t][c] for t in kept) for c in range(space.dim)] for row in Rinv_I]
+    S = D * d
+    cols = list(zip(*P))
+    if [[sum(map(mul, row, col)) for col in cols] for row in P] != [[S * e for e in row] for row in P]:
         raise CertificateError("band projection is not idempotent")
+    rows = [(j, _coprime(f)) for j, f in enumerate(space.F, 1)]
     for g in space.generators:
-        image = tuple(ZERO if j in L else e for j, e in enumerate(embed(space, g), 1))
-        if embed(space, mat_vec(P, g)) != image:
+        g_I = _coprime(g)
+        Pg = [sum(map(mul, row, g_I)) for row in P]
+        if any(sum(map(mul, f, Pg)) != (0 if j in L else S * sum(map(mul, f, g_I))) for j, f in rows):
             raise CertificateError(f"band projection does not split the atom {_show(g)} along its facets")
-    return ProjectionReport(B, True, P)
+    return ProjectionReport(B, True, tuple(tuple(Fraction(e, S) for e in row) for row in P))
 
 
 def is_projection_band(space: OrderedSpace, B: Band) -> ProjectionReport:
@@ -302,17 +317,23 @@ def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERAT
     """One report per projection band, ordered by (dimension, basis).
 
     The projection bands are the kernels of the 2^c unions L of the c
-    components, so {0, X} always appears.  Each is directed, since P maps the
-    generating cone onto its positive part.  Refuses c > cap (CapExceeded);
-    c <= m, so no space with at most cap facets is refused.
+    components, so {0, X} always appears.  The kernel of L is the sum of the
+    pieces ker F_{[m]-C} of the components C outside L, so each carrier is
+    the canonical basis of one union of the c pieces.  Each band is directed,
+    since P maps the generating cone onto its positive part.  Refuses c > cap
+    (CapExceeded); c <= m, so no space with at most cap facets is refused.
     """
     comps = space.components
     if len(comps) > cap:
         raise CapExceeded(f"order projections over 2^{len(comps)} unions of components exceed 2^{cap}")
+    full = frozenset(range(1, space.m + 1))
+    pieces = [kernel_of_rows(space, full - C).basis for C in comps]
     reports = []
     for mask in range(1 << len(comps)):
-        L = frozenset().union(*[c for t, c in enumerate(comps) if mask >> t & 1])
-        reports.append(_project(space, Band(kernel_of_rows(space, L), L, True), L))
+        L = frozenset().union(*[C for t, C in enumerate(comps) if mask >> t & 1])
+        vectors = tuple(chain.from_iterable(b for t, b in enumerate(pieces) if not mask >> t & 1))
+        carrier = Subspace(space.dim, canonical_subspace_basis(vectors, space.dim))
+        reports.append(_project(space, Band(carrier, L, True), L))
     return tuple(sorted(reports, key=lambda r: (r.band.carrier.dim, r.band.carrier.basis)))
 
 

@@ -10,6 +10,9 @@ kernels ker F_L of the flats L of the facet rows' matroid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from math import gcd, prod
+from operator import mul
 
 from .cones import OrderedSpace, embed, extreme_rays
 from .errors import CapExceeded, ParseError
@@ -17,6 +20,8 @@ from .linalg import (
     Mat,
     Vec,
     ZERO,
+    _coprime,
+    _ints,
     canonical_subspace_basis,
     dot,
     in_span,
@@ -177,37 +182,44 @@ def is_directed_subspace(space: OrderedSpace, D: Subspace) -> bool:
     return rank(positive_generators(space, D)) == D.dim
 
 
-def _flats(space: OrderedSpace, cap: int):
-    """Every flat of the facet rows' matroid with its row kernel, and its covers.
+def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
+    """Every flat of the component C of the facet rows' matroid, with its piece.
 
     A flat is a set L of rows closed under linear dependence: L holds every
-    row that vanishes on ker F_L.  Restricted to ker F_L, a row j outside L is
-    a nonzero functional, and cl(L + j) adds to L exactly the rows whose
-    restrictions are multiples of row j's: on the hyperplane of ker F_L that
-    row j cuts out, a functional vanishes iff it is a multiple of row j there.
-    So the rows outside L fall into parallel classes, one per flat covering L.
+    row that vanishes on ker F_L.  The components split Q^n into the direct
+    sum of the kernels ker F_{[m]-C}, each row of C seeing only its own
+    summand, so a flat L of C gets the piece ker F_{([m]-C) + L} of that
+    summand.  Restricted to this piece, a row j of C outside L is a nonzero
+    functional, and cl(L + j) adds to L exactly the rows whose restrictions
+    are multiples of row j's: on the hyperplane of the piece that row j cuts
+    out, a functional vanishes iff it is a multiple of row j there.  So the
+    rows of C outside L fall into parallel classes, one per flat covering L;
+    a class is keyed by the primitive integer form, leading entry positive,
+    of its rows' values on the piece's basis.
 
     Close-by-one, the depth-first form of Ganter's NextClosure (1984), keeps
     the cover cl(L + j) only when j is the least row it adds, so each flat is
-    visited, and its kernel computed, once.  Returns the kernels by flat and,
-    for each flat L, the map from each row j outside L to cl(L + j).  Raises
-    CapExceeded once it has visited more than 2^cap flats; every flat is a
-    set of rows, so no space with at most cap facets is refused.
+    visited, and its piece computed, once.  Returns the pieces by flat and,
+    for each flat L, the map from each row j of C outside L to cl(L + j).
+    Raises CapExceeded once `before` plus the flats visited here exceed 2^cap.
     """
-    kernels: dict[frozenset[int], Subspace] = {}
+    rest = frozenset(range(1, space.m + 1)) - C
+    rows = [(j, _coprime(space.F[j - 1])) for j in sorted(C)]  # positive scalings keep the classes
+    pieces: dict[frozenset[int], Subspace] = {}
     covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
-    todo = [(frozenset(), 1)]  # facet rows are nonzero, so no row vanishes on Q^n
+    todo = [(frozenset(), 1)]  # facet rows are nonzero, so no row vanishes on the summand
     while todo:
-        if len(kernels).bit_length() > cap:  # len >= 2^cap, without building 2^cap for a huge cap
+        if (before + len(pieces)).bit_length() > cap:  # >= 2^cap, without building 2^cap for a huge cap
             raise CapExceeded(f"band enumeration visits more than 2^{cap} flats")
         L, start = todo.pop()
-        K = kernels[L] = kernel_of_rows(space, L)
-        classes: dict[Vec, set[int]] = {}
-        for j in range(1, space.m + 1):
+        K = pieces[L] = kernel_of_rows(space, rest | L)
+        basis = [_ints(b)[1] for b in K.basis]
+        classes: dict[tuple[int, ...], set[int]] = {}
+        for j, f in rows:
             if j not in L:
-                r = tuple(dot(space.F[j - 1], b) for b in K.basis)
-                lead = next(e for e in r if e != 0)
-                classes.setdefault(tuple(e / lead for e in r), set()).add(j)
+                r = [sum(map(mul, f, b)) for b in basis]
+                g = gcd(*r) if next(e for e in r if e) > 0 else -gcd(*r)
+                classes.setdefault(tuple([e // g for e in r]), set()).add(j)
         up = covers[L] = {}
         for cls in classes.values():
             cover = L | cls
@@ -215,7 +227,16 @@ def _flats(space: OrderedSpace, cap: int):
                 up[j] = cover
             if min(cls) >= start:
                 todo.append((cover, min(cls) + 1))
-    return kernels, covers
+    return pieces, covers
+
+
+def _closure(covers, S: frozenset[int]) -> frozenset[int]:
+    """cl(S), walked up from the empty flat along the covers of `_flats`."""
+    out = frozenset()
+    for j in S:
+        if j not in out:
+            out = covers[out][j]
+    return out
 
 
 def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[Band, ...]:
@@ -224,26 +245,39 @@ def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     Every disjoint complement is a row kernel, so every band is one too: the
     kernel of a flat L, whose images have support [m] - L.  Its complement is
     the kernel of cl([m] - L), and it is a band iff the complement of that is
-    it again: cl([m] - cl([m] - L)) = L.  Closures are walks up the covers,
-    and zero sets are reported maximal (they are the flats).  Refuses spaces
-    whose facet rows have more than 2^cap flats (CapExceeded).
+    it again: cl([m] - cl([m] - L)) = L.  The flats of a direct sum of
+    matroids are the unions of one flat per component, and closure acts per
+    component (Oxley, Matroid Theory, ch. 4), so the test splits: L is a band
+    flat iff each of its parts L_C is one of C, cl(C - cl(C - L_C)) = L_C.
+    The bands are then the sums of one band per component: the zero set is
+    the union of the parts, the carrier the sum of their pieces, and the band
+    is directed iff every piece is, as the cone is the direct sum of its
+    parts in the pieces.  Closures are walks up the covers, and zero sets are
+    reported maximal (they are the flats).
+
+    Refuses (CapExceeded) once the flats visited over all components exceed
+    2^cap, and, before any carrier is built, when there are more than 2^cap
+    bands.  A space with at most cap facets is never refused: both counts are
+    at most 2^m.
     """
-    kernels, covers = _flats(space, cap)
     full = frozenset(range(1, space.m + 1))
-
-    def closure(S: frozenset[int]) -> frozenset[int]:
-        C = frozenset()
-        for j in S:
-            if j not in C:
-                C = covers[C][j]
-        return C
-
-    complement = {L: closure(full - L) for L in kernels}
-    bands = (
-        Band(K, L, _kernel_is_directed(space, L, K))
-        for L, K in kernels.items()
-        if complement[complement[L]] == L
-    )
+    parts = []
+    visited = 0
+    for C in space.components:
+        pieces, covers = _flats(space, C, cap, visited)
+        visited += len(pieces)
+        complement = {L: _closure(covers, C - L) for L in pieces}
+        band_flats = [L for L in pieces if complement[complement[L]] == L]
+        parts.append([(L, pieces[L], _kernel_is_directed(space, full - C | L, pieces[L])) for L in band_flats])
+    count = prod(map(len, parts))
+    if (count - 1).bit_length() > cap:  # count > 2^cap
+        raise CapExceeded(f"the space has {count} bands, more than 2^{cap}")
+    bands = []
+    for choice in product(*parts):
+        zero_sets, summands, directed = zip(*choice)
+        vectors = tuple(chain.from_iterable(K.basis for K in summands))
+        carrier = Subspace(space.dim, canonical_subspace_basis(vectors, space.dim))
+        bands.append(Band(carrier, frozenset().union(*zero_sets), all(directed)))
     return tuple(sorted(bands, key=lambda b: (b.carrier.dim, b.carrier.basis)))
 
 
@@ -267,6 +301,11 @@ def extend_band(space: OrderedSpace, B) -> frozenset[int]:
     return union_support(space, _as_vectors(space, B))
 
 
+def _is_separator(space: OrderedSpace, L: frozenset[int]) -> bool:
+    """Whether the row set L is a union of the matroid's components."""
+    return all(C <= L or not C & L for C in space.components)
+
+
 def restrict_band(space: OrderedSpace, J) -> Subspace:
     """Restriction of the coordinate band with support J: {x : f_j(x)=0, j not in J}.
 
@@ -276,3 +315,15 @@ def restrict_band(space: OrderedSpace, J) -> Subspace:
     if not J <= set(range(1, space.m + 1)):
         raise ParseError(f"J must be a subset of 1..{space.m}")
     return kernel_of_rows(space, set(range(1, space.m + 1)) - J)
+
+
+def restriction_is_projection_band(space: OrderedSpace, J) -> bool:
+    """Whether the restriction of the coordinate band with support J is a projection band.
+
+    The restriction ker F_{[m]-J} is the kernel of the flat L = cl([m] - J),
+    its maximal zero set.  It is a projection band iff L is a separator, a
+    union of components: then [m] - L is a union of components too, so a
+    flat, and L = cl([m] - cl([m] - L)) makes the kernel a band, whose
+    projection `atoms.is_projection_band` builds.
+    """
+    return _is_separator(space, vanish_set(space, restrict_band(space, J)))

@@ -38,6 +38,7 @@ from .atoms import (
 from .bands import (
     DEFAULT_ENUMERATION_CAP,
     Band,
+    _kernel_is_directed,
     band_of,
     disjoint_complement,
     disjoint_eq1_oracle,
@@ -48,6 +49,7 @@ from .bands import (
     is_disjoint,
     principal_ideal_member,
     restrict_band,
+    restriction_is_projection_band,
     subspace,
     vanish_set,
 )
@@ -427,7 +429,8 @@ def _cmd_restrict(cmd: Command):
         "basis": _mat_json(D.basis),
         "dim": D.dim,
         "isBand": is_band(space, D),
-        "directed": is_directed_subspace(space, D),
+        "directed": _kernel_is_directed(space, frozenset(range(1, space.m + 1)) - frozenset(J), D),
+        "isProjectionBand": restriction_is_projection_band(space, J),
     }
     inputs = dict(_space_inputs(space), support=sorted(J))
     return inputs, result, {}

@@ -121,6 +121,12 @@ def _ints(v) -> tuple[int, list[int]]:
     return d, [e.numerator * (d // e.denominator) for e in v]
 
 
+def _int_rows(M) -> tuple[int, list[list[int]]]:
+    """(d, d*M) for d the lcm of the denominators of M: M as rows of ints."""
+    d = lcm(*[e.denominator for row in M for e in row])
+    return d, [[e.numerator * (d // e.denominator) for e in row] for row in M]
+
+
 def _coprime(v) -> list[int]:
     """v scaled by a positive rational to coprime ints; 0 stays 0."""
     row = _ints(v)[1]

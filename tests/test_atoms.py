@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -64,6 +65,7 @@ from ordercone.fixtures import (
     random_positive,
     random_simplicial_space,
     random_space,
+    random_unimodular,
     random_vector,
     simplex,
 )
@@ -81,6 +83,7 @@ from ordercone.linalg import (
 )
 from ordercone.lp import Optimal, Polyhedron, lp
 from ordercone.selftest import _atom_triple, _split_exists
+from test_bands import direct_sum
 from test_cover import moment_cone
 
 
@@ -698,6 +701,57 @@ def test_projection_certificate_survives_optimize():
     )
     assert res.returncode == 0, res.stderr + res.stdout
     assert res.stdout.count("CertificateError:") == 2
+
+
+def test_integer_certificate_catches_a_corrupted_row_basis():
+    """Under python -O a wrong F_R^{-1} fails the integer checks of `_project`."""
+    script = "\n".join(
+        [
+            "from ordercone.atoms import _project, enumerate_order_projections",
+            "from ordercone.bands import kernel_of_rows",
+            "from ordercone.cones import build_space",
+            "from ordercone.errors import CertificateError",
+            "assert False, 'asserts must be stripped'",
+            "four = [[1, 0, 1, 0, 0], [-1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, -1, 1, 0, 0]]",
+            "gens = four + [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]",
+            "sp = build_space(5, generators=gens, name='four-ray + simplex:2')",
+            "if len(sp.components) != 3:",
+            "    raise SystemExit('expected three components')",
+            "R, Rinv, G = sp.row_basis",
+            "bad = (tuple(e + 1 if t == 0 else e for t, e in enumerate(Rinv[0])),) + Rinv[1:]",
+            "sp.__dict__['row_basis'] = (R, bad, G)",
+            "identity = lambda: _project(sp, kernel_of_rows(sp, ()), frozenset())",
+            "for probe in (identity, lambda: enumerate_order_projections(sp)):",
+            "    try:",
+            "        probe()",
+            "    except CertificateError as exc:",
+            "        print('CertificateError:', exc)",
+            "    else:",
+            "        raise SystemExit('no CertificateError')",
+        ]
+    )
+    src = str(Path(ordercone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("CertificateError:") == 2
+
+
+def test_bands_and_projections_ignore_facet_row_scaling():
+    # A directly built space may carry non-integral facet rows: halving every
+    # row changes no band, no projection band and no projection.
+    rng = random.Random(40616)
+    spaces = [four_ray(), pentagon(), simplex(3), direct_sum(pentagon(), simplex(1))]
+    spaces.append(direct_sum(four_ray(), simplex(2), scramble=random_unimodular(rng, 5)))
+    for sp in spaces:
+        half = replace(sp, F=tuple(tuple(e / 2 for e in f) for f in sp.F))
+        assert any(e.denominator > 1 for f in half.F for e in f)
+        assert enumerate_bands(half) == enumerate_bands(sp), sp.name
+        assert enumerate_order_projections(half) == enumerate_order_projections(sp), sp.name
+        for a in sp.generators:
+            assert is_projection_band(half, band_of(half, a)) == is_projection_band(sp, band_of(sp, a))
 
 
 def test_check_ideal_decomposition_accepts_coordinate_splits():

@@ -8,8 +8,10 @@ import pytest
 
 from ordercone.atoms import ProjectionReport, enumerate_order_projections, is_projection_band
 from ordercone.bands import (
+    DEFAULT_ENUMERATION_CAP,
     Band,
     Subspace,
+    _kernel_is_directed,
     band_of,
     disjoint_complement,
     disjoint_eq1_oracle,
@@ -22,6 +24,7 @@ from ordercone.bands import (
     kernel_of_rows,
     principal_ideal_member,
     restrict_band,
+    restriction_is_projection_band,
     subspace,
     union_support,
     vanish_set,
@@ -37,7 +40,7 @@ from ordercone.fixtures import (
     random_vector,
     simplex,
 )
-from ordercone.linalg import invert, mat_vec, rank, transpose, vabs, vadd, vec, vscale, vsub, zero_vec
+from ordercone.linalg import dot, invert, mat_vec, rank, transpose, vabs, vadd, vec, vscale, vsub, zero_vec
 from ordercone.lp import Polyhedron, lp
 
 
@@ -377,11 +380,14 @@ def sweep_bands(space):
     return tuple(sorted(seen.values(), key=lambda b: (b.carrier.dim, b.carrier.basis)))
 
 
+def pentagon():
+    return build_space(3, generators=[vec((k, k * k, 1)) for k in (-2, -1, 0, 1, 2)], name="pentagon")
+
+
 def oracle_spaces():
     rng = random.Random(30508)
-    pentagon = build_space(3, generators=[vec((k, k * k, 1)) for k in (-2, -1, 0, 1, 2)], name="pentagon")
     return (
-        [four_ray(), pentagon]
+        [four_ray(), pentagon()]
         + [simplex(n) for n in range(1, 6)]
         + [random_space(rng) for _ in range(10)]
     )
@@ -488,3 +494,104 @@ def test_projections_of_four_summed_four_rays():
     assert sorted(r.band.carrier.dim for r in reports) == [0] + [3] * 4 + [6] * 6 + [9] * 4 + [12]
     with pytest.raises(CapExceeded):
         enumerate_order_projections(sp, cap=3)
+
+
+def single_pass_bands(space, cap=DEFAULT_ENUMERATION_CAP):
+    """The one pass over all flats that the per-component pass replaced, kept as its oracle.
+
+    Close-by-one visits every flat L of the whole matroid with its kernel,
+    taking the parallel classes of the rows outside L on that kernel; a flat
+    is a band flat iff cl([m] - cl([m] - L)) = L.
+    """
+    kernels, covers = {}, {}
+    todo = [(frozenset(), 1)]
+    while todo:
+        if len(kernels).bit_length() > cap:
+            raise CapExceeded(f"band enumeration visits more than 2^{cap} flats")
+        L, start = todo.pop()
+        K = kernels[L] = kernel_of_rows(space, L)
+        classes = {}
+        for j in range(1, space.m + 1):
+            if j not in L:
+                r = tuple(dot(space.F[j - 1], b) for b in K.basis)
+                lead = next(e for e in r if e != 0)
+                classes.setdefault(tuple(e / lead for e in r), set()).add(j)
+        up = covers[L] = {}
+        for cls in classes.values():
+            cover = L | cls
+            for j in cls:
+                up[j] = cover
+            if min(cls) >= start:
+                todo.append((cover, min(cls) + 1))
+    full = frozenset(range(1, space.m + 1))
+
+    def closure(S):
+        C = frozenset()
+        for j in S:
+            if j not in C:
+                C = covers[C][j]
+        return C
+
+    complement = {L: closure(full - L) for L in kernels}
+    bands = (
+        Band(K, L, _kernel_is_directed(space, L, K))
+        for L, K in kernels.items()
+        if complement[complement[L]] == L
+    )
+    return tuple(sorted(bands, key=lambda b: (b.carrier.dim, b.carrier.basis)))
+
+
+def test_enumerate_bands_matches_single_pass():
+    rng = random.Random(30511)
+    spaces = projection_spaces() + [
+        direct_sum(four_ray(), pentagon(), simplex(1), scramble=random_unimodular(rng, 7)),
+    ]
+    for sp in spaces:
+        assert enumerate_bands(sp) == single_pass_bands(sp), sp.name
+    assert len(spaces[-1].components) == 3
+    assert len(enumerate_bands(spaces[-1])) == 8 * 2 * 2  # four-ray, pentagon and a line
+
+
+def test_band_cap_limits_the_bands_output():
+    # Three summed four-rays: 3 x 12 flats visited, but 8^3 = 2^9 bands.
+    sp = direct_sum(four_ray(), four_ray(), four_ray())
+    with pytest.raises(CapExceeded, match="512 bands"):
+        enumerate_bands(sp, cap=8)
+    bands = enumerate_bands(sp, cap=9)
+    assert len(bands) == 512
+    assert sum(b.directed for b in bands) == 6**3  # a band is directed iff each of its parts is
+    # The flats visited are summed over the components: 36 > 2^5.
+    with pytest.raises(CapExceeded, match="flats"):
+        enumerate_bands(sp, cap=5)
+
+
+def test_enumerate_bands_refuses_huge_simplex_fast():
+    # 20 one-row components: 40 flats visited, then 2^20 bands are refused
+    # before any carrier is built.
+    with pytest.raises(CapExceeded, match="1048576 bands"):
+        enumerate_bands(simplex(20))
+
+
+def test_restriction_is_projection_band_on_every_support():
+    answers = set()
+    for sp in projection_spaces():
+        for k in range(sp.m + 1):
+            for J in combinations(range(1, sp.m + 1), k):
+                D = restrict_band(sp, J)
+                expected = is_band(sp, D) and is_projection_band(sp, D).is_projection_band
+                assert restriction_is_projection_band(sp, J) == expected, (sp.name, J)
+                answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_restriction_directedness_face_rule_matches_double_description():
+    answers = set()
+    for sp in projection_spaces():
+        full = frozenset(range(1, sp.m + 1))
+        for k in range(sp.m + 1):
+            for J in combinations(range(1, sp.m + 1), k):
+                D = restrict_band(sp, J)
+                directed = _kernel_is_directed(sp, full - frozenset(J), D)
+                assert directed == is_directed_subspace(sp, D), (sp.name, J)
+                answers.add(directed)
+    assert answers == {True, False}

@@ -1,10 +1,12 @@
 """Command-line front end: dispatch, exit codes, determinism, coverage audit."""
 
+import hashlib
 import json
 
 import pytest
 
 import ordercone
+from ordercone.bands import is_directed_subspace, restrict_band
 from ordercone.cli import main, parse_space_source, parse_vector
 from ordercone.errors import ParseError, UnknownBuiltin
 
@@ -36,6 +38,7 @@ OPERATION_ROUTES = {
     "is_directed_subspace": ["band", *FOUR_RAY, "--span", "[1,0,1]", "[-1,0,1]"],
     "extend_band": ["extend", *FOUR_RAY, "[1,0,1]"],
     "restrict_band": ["restrict", *FOUR_RAY, "[2,3]"],
+    "restriction_is_projection_band": ["restrict", *FOUR_RAY, "[2,3]"],
     # atoms and decompositions
     "atoms": ["atoms", *FOUR_RAY],
     "is_atom": ["atoms", *FOUR_RAY, "--probe", "[1,1,2]"],
@@ -140,6 +143,65 @@ def test_json_output_is_byte_identical(capsys):
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+
+# sha256 of the --json stdout of `bands` and `projections`, pinned so that a
+# change to the enumeration shows up as a changed payload.
+GOLDEN_DIGESTS = {
+    "four-ray": (
+        "310ef874a69f38168909b05b49ff9dbc5648fd3d9eebf424ee128ab1bb916144",
+        "ee40f1837f9796c4129e20adc0c6fe1efc805a061d24a2ed63d28d5ff85cac6a",
+    ),
+    "simplex:4": (
+        "3494612145914c37431c82ce9952a6db7fa419889a4771dd31edfbd2a955980e",
+        "c53006935b9011c0688369332a4516d3a45685a1649d4ee31394483d67b3ba96",
+    ),
+    "four-ray + four-ray": (
+        "fbdcf2fe15237b9114459906df420e0e504d5da4829f08d45148acd2eae85d2d",
+        "a817a79f77e5164211cb8501831d3e98b9cf28ff30fbf411d3655bfb95f9c94d",
+    ),
+}
+
+
+def test_band_payloads_match_golden_digests(tmp_path, capsys):
+    four_ray = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]
+    summed = [g + [0, 0, 0] for g in four_ray] + [[0, 0, 0] + g for g in four_ray]
+    space_file = tmp_path / "four-ray-sum.json"
+    space_file.write_text(json.dumps({"dim": 6, "generators": summed}))
+    sources = {
+        "four-ray": FOUR_RAY,
+        "simplex:4": ["--example", "simplex:4"],
+        "four-ray + four-ray": ["--space", str(space_file)],
+    }
+    for name, source in sources.items():
+        digests = tuple(
+            hashlib.sha256(run([verb, *source, "--json"], capsys)[1].encode()).hexdigest()
+            for verb in ("bands", "projections")
+        )
+        assert digests == GOLDEN_DIGESTS[name], name
+
+
+def test_restrict_payload_on_every_support(tmp_path, capsys):
+    # four-ray + a line in Q^4.  Any three four-ray rows span its Q^3, so the
+    # restriction of J is a projection band iff J holds at most one four-ray
+    # row (it kills that summand) or all four (it keeps it).
+    gens = [[1, 0, 1, 0], [-1, 0, 1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 0, 0, 1]]
+    space_file = tmp_path / "four-ray-line.json"
+    space_file.write_text(json.dumps({"dim": 4, "generators": gens}))
+    sp = parse_space_source(str(space_file))
+    four, line = sorted(sp.components, key=len, reverse=True)
+    assert (len(four), len(line)) == (4, 1)
+    answers = set()
+    for mask in range(1 << sp.m):
+        J = [j for j in range(1, sp.m + 1) if mask >> (j - 1) & 1]
+        code, out, _ = run(["restrict", "--space", str(space_file), json.dumps(J), "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["basis", "dim", "isBand", "directed", "isProjectionBand"]
+        assert payload["directed"] == is_directed_subspace(sp, restrict_band(sp, J))
+        assert payload["isProjectionBand"] == (len(four.intersection(J)) in (0, 1, 4)), J
+        answers.add(payload["isProjectionBand"])
+    assert answers == {True, False}
 
 
 def test_json_payload_round_trips(capsys):
