@@ -2,9 +2,11 @@
 
 Every value is exact: vectors on the command line are JSON arrays whose
 entries are integers or rational strings like "3/4"; decimal floats are
-rejected.  Machine output (--json) is deterministic, a single JSON object
-per invocation with all rationals rendered as strings; timing appears only
-in text mode.
+rejected.  Each argument is declared once, on the parser, with the converter
+that parses it; the space is built the same way, so each verb's handler
+takes converted values by name.  Machine output (--json) is deterministic,
+a single JSON object per invocation with all rationals rendered as strings;
+timing of the query appears only in text mode.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ from .seqspace import (
 @dataclass(frozen=True)
 class Command:
     verb: str
-    space_source: str | None
-    args: dict
+    args: dict  # the handler's keyword arguments, already converted
     output_mode: str  # "text" | "json"
 
 
@@ -109,31 +110,37 @@ def _parse_rational(value) -> Fraction:
     raise ParseError(f"not an exact rational: {value!r} (floats are rejected)")
 
 
-def parse_vector(text: str) -> Vec:
+def _json_literal(text: str, kind: str):
+    """json.loads, raising ParseError for every way a literal can fail.
+
+    Besides malformed JSON, json.loads raises a plain ValueError for an
+    integer of more than sys.get_int_max_str_digits() digits and
+    RecursionError for arrays nested about a thousand deep.
+    """
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"bad vector literal {text!r}: {exc.msg}") from None
+        raise ParseError(f"bad {kind} literal {text!r}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad {kind} literal: {exc}") from None
+
+
+def parse_vector(text: str) -> Vec:
+    data = _json_literal(text, "vector")
     if not isinstance(data, list) or not data:
         raise ParseError(f"a vector is a nonempty JSON array, got {text!r}")
     return vec([_parse_rational(e) for e in data])
 
 
 def parse_matrix(text: str) -> tuple[Vec, ...]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad vector-list literal {text!r}: {exc.msg}") from None
+    data = _json_literal(text, "vector-list")
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError(f"expected a JSON array of vectors, got {text!r}")
     return tuple(vec([_parse_rational(e) for e in row]) for row in data)
 
 
 def parse_index_set(text: str) -> frozenset[int]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad index-set literal {text!r}: {exc.msg}") from None
+    data = _json_literal(text, "index-set")
     if not isinstance(data, list):
         raise ParseError(f"an index set is a JSON array of integers, got {text!r}")
     out = set()
@@ -154,6 +161,8 @@ def _load_space_file(path: str) -> OrderedSpace:
         raise ParseError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot parse space file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("a space file holds a JSON object")
     extra = set(data) - {"dim", "generators", "facets", "name"}
@@ -242,13 +251,11 @@ def _space_inputs(space: OrderedSpace) -> dict:
 # --- verb handlers ---------------------------------------------------------------
 
 
-def _cmd_classify(cmd: Command):
-    space = parse_space_source(cmd.space_source)
+def _cmd_classify(space, witness_probe):
     result = _classification_json(classify(space))
     certificates = {}
-    probe = cmd.args.get("witness_probe")
-    if probe is not None:
-        res = pervasive_witness_check(space, probe)
+    if witness_probe is not None:
+        res = pervasive_witness_check(space, witness_probe)
         if isinstance(res, Witness):
             certificates["witnessProbe"] = {"witness": _vec_json(res.x)}
         elif isinstance(res, NoWitness):
@@ -258,10 +265,8 @@ def _cmd_classify(cmd: Command):
     return _space_inputs(space), result, certificates
 
 
-def _cmd_atoms(cmd: Command):
-    space = parse_space_source(cmd.space_source)
+def _cmd_atoms(space, probe):
     result = {"atoms": _mat_json(atoms(space))}
-    probe = cmd.args.get("probe")
     if probe is not None:
         result["probe"] = {
             "vector": _vec_json(probe),
@@ -271,9 +276,7 @@ def _cmd_atoms(cmd: Command):
     return _space_inputs(space), result, {}
 
 
-def _cmd_disjoint(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    x, y = cmd.args["x"], cmd.args["y"]
+def _cmd_disjoint(space, x, y):
     d = is_disjoint(space, x, y)
     oracle = disjoint_eq1_oracle(space, x, y)
     result = {
@@ -287,12 +290,9 @@ def _cmd_disjoint(cmd: Command):
     return inputs, result, {"upperBoundSetTestAgrees": oracle == d}
 
 
-def _cmd_dcomp(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    vectors = cmd.args["vectors"]
+def _cmd_dcomp(space, vectors, check):
     band = disjoint_complement(space, vectors)
     result = {"band": _band_json(band)}
-    check = cmd.args.get("check")
     if check is not None:
         B = subspace(space.dim, vectors)
         D = subspace(space.dim, check)
@@ -310,10 +310,12 @@ def _cmd_dcomp(cmd: Command):
     return inputs, result, {}
 
 
-def _cmd_band(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    span = cmd.args.get("span")
+def _cmd_band(space, vector, span, member):
+    if (vector is None) == (span is None):
+        raise ParseError("band needs either a vector or --span, not both")
     if span is not None:
+        if member is not None:
+            raise ParseError("--member only applies to a principal band")
         D = subspace(space.dim, span)
         result = {
             "basis": _mat_json(D.basis),
@@ -324,25 +326,21 @@ def _cmd_band(cmd: Command):
         }
         inputs = dict(_space_inputs(space), span=_mat_json(span))
         return inputs, result, {}
-    a = cmd.args["vector"]
-    band = band_of(space, a)
+    band = band_of(space, vector)
     result = {"band": _band_json(band)}
-    member = cmd.args.get("member")
     if member is not None:
-        result["memberOfPrincipalIdeal"] = principal_ideal_member(space, member, a)
-    inputs = dict(_space_inputs(space), vector=_vec_json(a))
+        result["memberOfPrincipalIdeal"] = principal_ideal_member(space, member, vector)
+    inputs = dict(_space_inputs(space), vector=_vec_json(vector))
     return inputs, result, {}
 
 
-def _cmd_bands(cmd: Command):
-    space = parse_space_source(cmd.space_source)
+def _cmd_bands(space):
     found = enumerate_bands(space, cap=_band_cap())
     result = {"count": len(found), "bands": [_band_json(b) for b in found]}
     return _space_inputs(space), result, {}
 
 
-def _cmd_projections(cmd: Command):
-    space = parse_space_source(cmd.space_source)
+def _cmd_projections(space):
     reps = enumerate_order_projections(space, cap=_band_cap())
     result = {
         "count": len(reps),
@@ -353,18 +351,14 @@ def _cmd_projections(cmd: Command):
     return _space_inputs(space), result, {}
 
 
-def _cmd_lambda(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    x, a = cmd.args["x"], cmd.args["atom"]
-    lam = atom_lambda(space, x, a)
-    inputs = dict(_space_inputs(space), x=_vec_json(x), atom=_vec_json(a))
+def _cmd_lambda(space, x, atom):
+    lam = atom_lambda(space, x, atom)
+    inputs = dict(_space_inputs(space), x=_vec_json(x), atom=_vec_json(atom))
     return inputs, {"lambda": _rat(lam)}, {}
 
 
-def _cmd_decompose(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    x, a = cmd.args["x"], cmd.args["atom"]
-    res = decompose_by_atom(space, x, a)
+def _cmd_decompose(space, x, atom):
+    res = decompose_by_atom(space, x, atom)
     if isinstance(res, AtomDecomposition):
         result = {
             "lambda": _rat(res.lam),
@@ -373,13 +367,11 @@ def _cmd_decompose(cmd: Command):
         }
     else:
         result = {"noDecomposition": res.reason}
-    inputs = dict(_space_inputs(space), x=_vec_json(x), atom=_vec_json(a))
+    inputs = dict(_space_inputs(space), x=_vec_json(x), atom=_vec_json(atom))
     return inputs, result, {}
 
 
-def _cmd_rdp(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    x1, x2, z = cmd.args["x1"], cmd.args["x2"], cmd.args["z"]
+def _cmd_rdp(space, x1, x2, z):
     res = rdp_split(space, x1, x2, z)
     if isinstance(res, Split):
         result = {"split": {"z1": _vec_json(res.z1), "z2": _vec_json(res.z2)}}
@@ -389,9 +381,7 @@ def _cmd_rdp(cmd: Command):
     return inputs, result, {}
 
 
-def _cmd_sup(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    vectors = cmd.args["vectors"]
+def _cmd_sup(space, vectors):
     s = sup_in_X(space, vectors)
     w = upper_bound_polyhedron(space, vectors).b
     result = {
@@ -408,9 +398,7 @@ def _cmd_sup(cmd: Command):
     return inputs, result, certificates
 
 
-def _cmd_extend(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    vectors = cmd.args["vectors"]
+def _cmd_extend(space, vectors):
     J = extend_band(space, vectors)
     D = subspace(space.dim, vectors)
     result = {
@@ -421,22 +409,20 @@ def _cmd_extend(cmd: Command):
     return inputs, result, {}
 
 
-def _cmd_restrict(cmd: Command):
-    space = parse_space_source(cmd.space_source)
-    J = cmd.args["indices"]
-    D = restrict_band(space, J)
+def _cmd_restrict(space, indices):
+    D = restrict_band(space, indices)
     result = {
         "basis": _mat_json(D.basis),
         "dim": D.dim,
         "isBand": is_band(space, D),
-        "directed": _kernel_is_directed(space, frozenset(range(1, space.m + 1)) - frozenset(J), D),
-        "isProjectionBand": restriction_is_projection_band(space, J),
+        "directed": _kernel_is_directed(space, frozenset(range(1, space.m + 1)) - indices, D),
+        "isProjectionBand": restriction_is_projection_band(space, indices),
     }
-    inputs = dict(_space_inputs(space), support=sorted(J))
+    inputs = dict(_space_inputs(space), support=sorted(indices))
     return inputs, result, {}
 
 
-def _cmd_seq_demo(cmd: Command):
+def _cmd_seq_demo():
     x1, x2 = c_element(1), c_element(2)
     join = seq_join_in_C(x1, x2)
     if isinstance(join, Some):
@@ -471,11 +457,8 @@ def _cmd_seq_demo(cmd: Command):
     return {}, result, {}
 
 
-def _cmd_selftest(cmd: Command):
-    report = run_selftest(
-        filter_substring=cmd.args.get("filter"),
-        corrupt=bool(cmd.args.get("debug_corrupt_facet")),
-    )
+def _cmd_selftest(filter_substring, debug_corrupt_facet):
+    report = run_selftest(filter_substring=filter_substring, corrupt=debug_corrupt_facet)
     result = {
         "checks": [
             {"suite": c.suite, "name": c.name, "ok": c.ok} for c in report.checks
@@ -513,12 +496,25 @@ _HANDLERS = {
 }
 
 
+def _check_lengths(args: dict) -> None:
+    """Refuse a vector argument whose length is not the space's dimension."""
+    space = args.get("space")
+    for name, value in args.items():
+        if space is None or not isinstance(value, (list, tuple)):
+            continue  # not a vector, or no space to measure it against
+        # A vector is a tuple of Fractions; --span, --check and nargs="+" give several.
+        for v in value if isinstance(value[0], tuple) else (value,):
+            if len(v) != space.dim:
+                raise ParseError(f"{name}: vector of length {len(v)} in a space of dimension {space.dim}")
+
+
 def execute(cmd: Command) -> Report:
     """Dispatch a parsed command to its module operation and time it."""
     if cmd.verb not in _HANDLERS:
         raise ParseError(f"unknown verb {cmd.verb!r}")
+    _check_lengths(cmd.args)
     start = time.perf_counter()
-    inputs, result, certificates = _HANDLERS[cmd.verb](cmd)
+    inputs, result, certificates = _HANDLERS[cmd.verb](**cmd.args)
     elapsed = (time.perf_counter() - start) * 1000.0
     return Report(cmd.verb, inputs, result, certificates, elapsed)
 
@@ -537,115 +533,87 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_text)
         if space:
             grp = p.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--example", metavar="NAME", help="builtin space: four-ray or simplex:<n>")
-            grp.add_argument("--space", metavar="FILE", help="JSON space file with dim/generators/facets")
+            grp.add_argument(
+                "--example", dest="space", type=builtin_space, metavar="NAME",
+                help="builtin space: four-ray or simplex:<n>",
+            )
+            grp.add_argument(
+                "--space", type=parse_space_source, metavar="FILE",
+                help="JSON space file with dim/generators/facets",
+            )
         p.add_argument("--json", action="store_true", help="emit one deterministic JSON object")
         return p
 
     p = add("classify", "order-structure flags of a space")
-    p.add_argument("--witness-probe", metavar="VEC", help="also probe a pervasiveness witness below this vector")
+    p.add_argument(
+        "--witness-probe", type=parse_vector, metavar="VEC",
+        help="also probe a pervasiveness witness below this vector",
+    )
 
     p = add("atoms", "extreme-ray atoms of the cone")
-    p.add_argument("--probe", metavar="VEC", help="report atomicity and discreteness of this vector")
+    p.add_argument(
+        "--probe", type=parse_vector, metavar="VEC", help="report atomicity and discreteness of this vector"
+    )
 
     p = add("disjoint", "disjointness of two vectors, with cover moduli")
-    p.add_argument("x", help="vector, e.g. '[1,0,1]'")
-    p.add_argument("y", help="vector")
+    p.add_argument("x", type=parse_vector, help="vector, e.g. '[1,0,1]'")
+    p.add_argument("y", type=parse_vector, help="vector")
 
     p = add("dcomp", "disjoint complement of a finite set of vectors")
-    p.add_argument("vectors", nargs="+", help="one or more vectors")
-    p.add_argument("--check", metavar="VECLIST", help="validate span(vectors) + span(VECLIST) as an ideal direct sum")
+    p.add_argument("vectors", nargs="+", type=parse_vector, help="one or more vectors")
+    p.add_argument(
+        "--check", type=parse_matrix, metavar="VECLIST",
+        help="validate span(vectors) + span(VECLIST) as an ideal direct sum",
+    )
 
     p = add("band", "principal band of a vector, or band test of a span")
-    p.add_argument("vector", nargs="?", help="vector generating the principal band")
-    p.add_argument("--span", nargs="+", metavar="VEC", help="test the span of these vectors instead")
-    p.add_argument("--member", metavar="VEC", help="with a principal band: test membership in the principal ideal")
+    p.add_argument("vector", nargs="?", type=parse_vector, help="vector generating the principal band")
+    p.add_argument(
+        "--span", nargs="+", type=parse_vector, metavar="VEC", help="test the span of these vectors instead"
+    )
+    p.add_argument(
+        "--member", type=parse_vector, metavar="VEC",
+        help="with a principal band: test membership in the principal ideal",
+    )
 
     add("bands", "enumerate all bands (cap via ORDERCONE_BAND_CAP)")
     add("projections", "enumerate all order projections")
 
     p = add("lambda", "greatest scale of an atom below a positive vector")
-    p.add_argument("x", help="positive vector")
-    p.add_argument("atom", help="atom vector")
+    p.add_argument("x", type=parse_vector, help="positive vector")
+    p.add_argument("atom", type=parse_vector, help="atom vector")
 
     p = add("decompose", "split a vector along an atom and its disjoint complement")
-    p.add_argument("x", help="vector to split")
-    p.add_argument("atom", help="atom vector")
+    p.add_argument("x", type=parse_vector, help="vector to split")
+    p.add_argument("atom", type=parse_vector, help="atom vector")
 
     p = add("rdp", "interval decomposition probe: z = z1 + z2 within [0,x1] + [0,x2]")
-    p.add_argument("x1", help="first positive bound")
-    p.add_argument("x2", help="second positive bound")
-    p.add_argument("z", help="vector with 0 <= z <= x1 + x2")
+    p.add_argument("x1", type=parse_vector, help="first positive bound")
+    p.add_argument("x2", type=parse_vector, help="second positive bound")
+    p.add_argument("z", type=parse_vector, help="vector with 0 <= z <= x1 + x2")
 
     p = add("sup", "least upper bound of finitely many vectors, if it exists")
-    p.add_argument("vectors", nargs="+", help="two or more vectors")
+    p.add_argument("vectors", nargs="+", type=parse_vector, help="two or more vectors")
 
     p = add("extend", "support of the smallest cover band extending a span")
-    p.add_argument("vectors", nargs="+", help="vectors spanning the subspace")
+    p.add_argument("vectors", nargs="+", type=parse_vector, help="vectors spanning the subspace")
 
     p = add("restrict", "restriction of a cover band with the given support")
-    p.add_argument("indices", help="JSON array of facet indices, e.g. '[2,3]'")
+    p.add_argument("indices", type=parse_index_set, help="JSON array of facet indices, e.g. '[2,3]'")
 
     add("seq-demo", "worked sequence-space example with certificates", space=False)
 
     p = add("selftest", "run the verification suites", space=False)
-    p.add_argument("--filter", metavar="SUBSTRING", help="run only suites whose name contains this")
+    p.add_argument(
+        "--filter", dest="filter_substring", metavar="SUBSTRING",
+        help="run only suites whose name contains this",
+    )
     p.add_argument(
         "--debug-corrupt-facet",
         action="store_true",
         help="debug hook: run only a deliberately corrupted fixture probe (must fail)",
     )
     return parser
-
-
-def _command_from_namespace(ns: argparse.Namespace) -> Command:
-    verb = ns.verb
-    args: dict = {}
-    if verb == "classify" and ns.witness_probe is not None:
-        args["witness_probe"] = parse_vector(ns.witness_probe)
-    elif verb == "atoms" and ns.probe is not None:
-        args["probe"] = parse_vector(ns.probe)
-    elif verb == "disjoint":
-        args["x"] = parse_vector(ns.x)
-        args["y"] = parse_vector(ns.y)
-    elif verb == "dcomp":
-        args["vectors"] = tuple(parse_vector(t) for t in ns.vectors)
-        if ns.check is not None:
-            args["check"] = parse_matrix(ns.check)
-    elif verb == "band":
-        if (ns.vector is None) == (ns.span is None):
-            raise ParseError("band needs either a vector or --span, not both")
-        if ns.span is not None:
-            if ns.member is not None:
-                raise ParseError("--member only applies to a principal band")
-            args["span"] = tuple(parse_vector(t) for t in ns.span)
-        else:
-            args["vector"] = parse_vector(ns.vector)
-            if ns.member is not None:
-                args["member"] = parse_vector(ns.member)
-    elif verb in ("lambda", "decompose"):
-        args["x"] = parse_vector(ns.x)
-        args["atom"] = parse_vector(ns.atom)
-    elif verb == "rdp":
-        args["x1"] = parse_vector(ns.x1)
-        args["x2"] = parse_vector(ns.x2)
-        args["z"] = parse_vector(ns.z)
-    elif verb in ("sup", "extend"):
-        args["vectors"] = tuple(parse_vector(t) for t in ns.vectors)
-    elif verb == "restrict":
-        args["indices"] = parse_index_set(ns.indices)
-    elif verb == "selftest":
-        args["filter"] = ns.filter
-        args["debug_corrupt_facet"] = ns.debug_corrupt_facet
-    source = getattr(ns, "example", None) or getattr(ns, "space", None)
-    if getattr(ns, "example", None) is not None:
-        builtin_space(ns.example)  # force UnknownBuiltin for bad --example names
-    return Command(
-        verb=verb,
-        space_source=source,
-        args=args,
-        output_mode="json" if ns.json else "text",
-    )
 
 
 # --- rendering -------------------------------------------------------------------
@@ -698,14 +666,15 @@ def _render_selftest_text(report: Report) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # The converters on the parser's arguments build the space and parse
+        # every literal, so parse_args raises ParseError and OrderConeError too.
+        args = vars(_build_parser().parse_args(argv))
+        verb, mode = args.pop("verb"), "json" if args.pop("json") else "text"
+        cmd = Command(verb, args, mode)
+        report = execute(cmd)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cmd = _command_from_namespace(ns)
-        report = execute(cmd)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,6 +108,13 @@ def test_band_of_frozen():
     assert band_of(sp, vec((0, 0, 0))).carrier.dim == 0
     q2 = simplex(2)
     assert band_of(q2, vec((1, 0))).carrier.basis == (vec((1, 0)),)
+    # An atom's principal band need not be its ray.  A pentagon's atom is
+    # nonzero on three facets whose rows span Q^3, so its band is all of Q^3,
+    # which is a projection band.
+    pent = pentagon()
+    for a in pent.generators:
+        assert band_of(pent, a).carrier.basis == full_space(3).basis
+        assert is_projection_band(pent, band_of(pent, a)).is_projection_band
 
 
 def test_is_band_frozen():

@@ -1,11 +1,17 @@
 """Command-line front end: dispatch, exit codes, determinism, coverage audit."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordercone
+import ordercone.cli
+import ordercone.fixtures
 from ordercone.bands import is_directed_subspace, restrict_band
 from ordercone.cli import main, parse_space_source, parse_vector
 from ordercone.errors import ParseError, UnknownBuiltin
@@ -740,3 +746,109 @@ def test_every_verb_output_is_pinned(tmp_path, capsys, monkeypatch):
     write_pinned_files(tmp_path)
     observed = {" ".join(argv): pinned_observation(argv, tmp_path, capsys) for argv in PINNED_INVOCATIONS}
     assert observed == PINNED_OUTPUT
+
+
+# --- hostile input ----------------------------------------------------------------
+
+# One vector of the wrong length for each verb and flag that takes vectors.
+WRONG_LENGTH = {
+    "disjoint": ["disjoint", *FOUR_RAY, "[1,0]", "[1,0,1]"],
+    "atoms --probe": ["atoms", *FOUR_RAY, "--probe", "[1,1]"],
+    "classify --witness-probe": ["classify", *FOUR_RAY, "--witness-probe", "[1,1,1,1]"],
+    "dcomp": ["dcomp", *FOUR_RAY, "[1,0,1]", "[1,0]"],
+    "dcomp --check": ["dcomp", *FOUR_RAY, "[1,0,1]", "--check", "[[0,1]]"],
+    "band": ["band", *FOUR_RAY, "[1,0]"],
+    "band --span": ["band", *FOUR_RAY, "--span", "[1,0,1]", "[1,0]"],
+    "band --member": ["band", *FOUR_RAY, "[1,0,1]", "--member", "[2,0]"],
+    "lambda": ["lambda", *SIMPLEX_2, "[3,5]", "[1,0,0]"],
+    "decompose": ["decompose", *SIMPLEX_2, "[3,5,1]", "[1,0]"],
+    "rdp": ["rdp", *FOUR_RAY, "[1,0,1]", "[-1,0,1]", "[0,1]"],
+    "sup": ["sup", *FOUR_RAY, "[1,0,1]", "[-1,0,1,4]"],
+    "extend": ["extend", *FOUR_RAY, "[1,0,1,0]"],
+}
+
+
+@pytest.mark.parametrize("argv", WRONG_LENGTH.values(), ids=WRONG_LENGTH.keys())
+def test_wrong_length_vector_exits_2(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2 and "dimension" in err and "Traceback" not in err
+
+
+LONG_INT = "9" * 5000  # over Python's 4300-digit limit on int() of a string
+DEEP = "[" * 5000  # deeper than json's recursion limit
+
+
+@pytest.mark.parametrize("literal", [f"[{LONG_INT},0]", DEEP], ids=["long-int", "deep"])
+def test_hostile_json_literals_exit_2(literal, tmp_path, capsys):
+    for argv in (
+        ["atoms", *SIMPLEX_2, "--probe", literal],
+        ["dcomp", *SIMPLEX_2, "[1,0]", "--check", f"[{literal}]"],
+        ["restrict", *SIMPLEX_2, literal],
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: bad ") and len(err) < 300, argv
+    space_file = tmp_path / "hostile.json"
+    space_file.write_text(f'{{"dim": 2, "generators": [{literal}]}}')
+    code, _, err = run(["classify", "--space", str(space_file)], capsys)
+    assert code == 2 and err.startswith("error: cannot parse space file") and len(err) < 300
+
+
+def test_each_space_is_built_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = ordercone.fixtures.build_space
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ordercone.fixtures, "build_space", counting)
+    monkeypatch.setattr(ordercone.cli, "build_space", counting)
+    space_file = tmp_path / "wedge.json"
+    space_file.write_text(PINNED_FILES["wedge.json"])
+    for argv in (
+        ["classify", "--example", "simplex:3"],
+        ["bands", *FOUR_RAY],
+        ["classify", "--space", str(space_file)],
+    ):
+        calls.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0 and len(calls) == 1, argv
+
+
+# Small JSON values: bounded integers, short strings, short nested lists and
+# objects whose keys are mostly the space-file fields.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["1/2", "-2", "x", "1.5"]) | st.floats(-2, 2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "generators", "facets", "name", "other"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def space_fields(dim):
+    rows = st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim), max_size=5)
+    return st.fixed_dictionaries({"dim": st.just(dim)}, optional={"generators": rows, "facets": rows})
+
+
+SPACE_FILES = JSON_VALUES | st.integers(0, 3).flatmap(space_fields)
+VECTOR_TEXTS = st.text(max_size=12) | st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(json.dumps)
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(text=VECTOR_TEXTS)
+def test_any_vector_text_exits_cleanly(text):
+    assert run_quietly(["atoms", *SIMPLEX_2, "--probe", text, "--json"]) in (0, 1, 2)
+    assert run_quietly(["disjoint", *SIMPLEX_2, text, "[1,0]", "--json"]) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=SPACE_FILES)
+def test_any_space_file_exits_cleanly(data, tmp_path_factory):
+    space_file = tmp_path_factory.getbasetemp() / "property-space.json"
+    space_file.write_text(json.dumps(data))
+    assert run_quietly(["atoms", "--space", str(space_file), "--json"]) in (0, 1, 2)
