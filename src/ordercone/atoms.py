@@ -30,7 +30,7 @@ from .bands import (
     positive_generators,
     vanish_set,
 )
-from .cones import OrderedSpace, embed, in_cone, leq
+from .cones import OrderedSpace, _image, embed, in_cone, leq
 from .errors import (
     CapExceeded,
     CertificateError,
@@ -77,7 +77,9 @@ def atoms(space: OrderedSpace) -> Mat:
 
 
 def is_atom(space: OrderedSpace, x: Vec) -> bool:
-    return not is_zero_vec(x) and in_cone(space, x) and primitive(x) in set(space.generators)
+    """Whether x is a positive multiple of a generator, i.e. x >= 0 and
+    primitive(x) is one of them (the zero vector is its own primitive)."""
+    return in_cone(space, x) and primitive(x) in space.generators
 
 
 def is_discrete(space: OrderedSpace, x: Vec) -> bool:
@@ -90,9 +92,10 @@ def is_discrete(space: OrderedSpace, x: Vec) -> bool:
     and supp(F v), which are disjoint.  Conversely, small multiples of two
     disjoint atoms of F_x lie in [0, x].
     """
-    if is_zero_vec(x) or not in_cone(space, x):
+    image = _image(space, x)[1]
+    if is_zero_vec(x) or any(e < 0 for e in image):
         raise NotPositive("is_discrete needs x > 0")
-    face = support(embed(space, x))
+    face = support(image)
     inside = [s for s in space.atom_supports if s <= face]
     return all(s & t for s, t in combinations(inside, 2))
 
@@ -182,14 +185,14 @@ def pervasive_witness_check(space: OrderedSpace, b: Vec):
     positive sum of atoms, and each atom g in that sum has supp(F g) inside
     supp(F x), which lies inside supp(p) because F x <= p.
     """
-    p = tuple(max(e, ZERO) for e in embed(space, b))
-    if all(e == 0 for e in p):
+    Sb, Fb = _image(space, b)
+    inside = frozenset(j for j, e in enumerate(Fb, 1) if e > 0)
+    if not inside:
         return Inapplicable()
-    inside = support(p)
     for g, s in zip(space.generators, space.atom_supports):
         if s <= inside:
-            Fg = embed(space, g)
-            return Witness(vscale(min(p[j - 1] / Fg[j - 1] for j in s), g))
+            Sg, Fg = _image(space, g)
+            return Witness(vscale(min(Fraction(Fb[j - 1] * Sg, Fg[j - 1] * Sb) for j in s), g))
     return NoWitness()
 
 
@@ -208,7 +211,9 @@ def atom_lambda(space: OrderedSpace, x: Vec, a: Vec) -> Fraction:
         raise NotAtom("a must generate an extreme ray")
     if not in_cone(space, x):
         raise NotPositive("x must be in the cone")
-    return min(dot(f, x) / dot(f, a) for f in space.F if dot(f, a) > 0)
+    Sx, Fx = _image(space, x)
+    Sa, Fa = _image(space, a)
+    return min(Fraction(b * Sa, e * Sx) for b, e in zip(Fx, Fa) if e > 0)
 
 
 @dataclass(frozen=True)
@@ -279,28 +284,29 @@ def _project(space: OrderedSpace, B, L: frozenset[int]) -> ProjectionReport:
     P g and g - P g positive, as their images split F g >= 0.  A failed
     check raises CertificateError.
 
-    The checks run on Python ints.  With D and d the lcms of the denominators
-    of F_R^{-1} and of F_R, P_I = (D F_R^{-1}) E (d F_R) is S P for S = D d;
-    the checks read P_I P_I = S P_I and, with each facet row f and atom g
-    scaled to coprime ints by positive factors, f . P_I g = S (f . g) for f
-    outside L and 0 for f in L.  They hold iff the rational checks do.
+    The checks run on Python ints.  With D the lcm of the denominators of
+    F_R^{-1} and d F the space's `int_facets`, P_I = (D F_R^{-1}) E (d F_R)
+    is S P for S = D d; the checks read P_I P_I = S P_I and, with each atom
+    g scaled to coprime ints by a positive factor, f . P_I g = S (f . g) for
+    each row f of d F outside L and 0 for f in L.  They hold iff the
+    rational checks do.
     """
     if not _is_separator(space, L):
         return ProjectionReport(B, False, None)
     R, Rinv, _ = space.row_basis
     D, Rinv_I = _int_rows(Rinv)
-    d, F_R = _int_rows(tuple(space.F[i] for i in R))
+    d, F_I = space.int_facets
+    F_R = [F_I[i] for i in R]
     kept = [t for t, i in enumerate(R) if i + 1 not in L]
     P = [[sum(row[t] * F_R[t][c] for t in kept) for c in range(space.dim)] for row in Rinv_I]
     S = D * d
     cols = list(zip(*P))
     if [[sum(map(mul, row, col)) for col in cols] for row in P] != [[S * e for e in row] for row in P]:
         raise CertificateError("band projection is not idempotent")
-    rows = [(j, _coprime(f)) for j, f in enumerate(space.F, 1)]
     for g in space.generators:
         g_I = _coprime(g)
         Pg = [sum(map(mul, row, g_I)) for row in P]
-        if any(sum(map(mul, f, Pg)) != (0 if j in L else S * sum(map(mul, f, g_I))) for j, f in rows):
+        if any(sum(map(mul, f, Pg)) != (0 if j in L else S * sum(map(mul, f, g_I))) for j, f in enumerate(F_I, 1)):
             raise CertificateError(f"band projection does not split the atom {_show(g)} along its facets")
     return ProjectionReport(B, True, tuple(tuple(Fraction(e, S) for e in row) for row in P))
 

@@ -14,21 +14,20 @@ from itertools import chain, product
 from math import gcd, prod
 from operator import mul
 
-from .cones import OrderedSpace, embed, extreme_rays
+from .cones import OrderedSpace, _image, embed, extreme_rays
 from .errors import CapExceeded, ParseError
 from .linalg import (
     Mat,
     Vec,
     ZERO,
-    _coprime,
     _ints,
     canonical_subspace_basis,
-    dot,
     in_span,
     mat,
     nullspace,
     rank,
     support,
+    transpose,
     vabs,
     vadd,
     vec,
@@ -77,7 +76,7 @@ class Band:
 
 def is_disjoint(space: OrderedSpace, x: Vec, y: Vec) -> bool:
     """Support route: x and y are disjoint iff their images share no support."""
-    return all(dot(f, x) == 0 or dot(f, y) == 0 for f in space.F)
+    return not any(a and b for a, b in zip(_image(space, x)[1], _image(space, y)[1]))
 
 
 def disjoint_eq1_oracle(space: OrderedSpace, x: Vec, y: Vec) -> bool:
@@ -95,7 +94,7 @@ def disjoint_eq1_oracle(space: OrderedSpace, x: Vec, y: Vec) -> bool:
 def union_support(space: OrderedSpace, vectors) -> frozenset[int]:
     out: set[int] = set()
     for v in vectors:
-        out |= support(embed(space, v))
+        out |= support(_image(space, v)[1])
     return frozenset(out)
 
 
@@ -109,9 +108,7 @@ def kernel_of_rows(space: OrderedSpace, J) -> Subspace:
 
 def vanish_set(space: OrderedSpace, D: Subspace) -> frozenset[int]:
     """All rows that vanish identically on D (the maximal zero set)."""
-    return frozenset(
-        j + 1 for j in range(space.m) if all(dot(space.F[j], b) == 0 for b in D.basis)
-    )
+    return frozenset(range(1, space.m + 1)) - union_support(space, D.basis)
 
 
 def _as_vectors(space: OrderedSpace, M) -> tuple[Vec, ...]:
@@ -166,7 +163,7 @@ def positive_generators(space: OrderedSpace, D: Subspace) -> tuple[Vec, ...]:
     """
     if D.dim == 0:
         return ()
-    FB = mat([[dot(f, b) for b in D.basis] for f in space.F])
+    FB = transpose(tuple(embed(space, b) for b in D.basis))
     return tuple(
         tuple(sum((c_i * b[k] for c_i, b in zip(c, D.basis)), start=ZERO) for k in range(space.dim))
         for c in extreme_rays(FB)
@@ -204,7 +201,7 @@ def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
     Raises CapExceeded once `before` plus the flats visited here exceed 2^cap.
     """
     rest = frozenset(range(1, space.m + 1)) - C
-    rows = [(j, _coprime(space.F[j - 1])) for j in sorted(C)]  # positive scalings keep the classes
+    rows = [(j, space.int_facets[1][j - 1]) for j in sorted(C)]  # positive scalings keep the classes
     pieces: dict[frozenset[int], Subspace] = {}
     covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
     todo = [(frozenset(), 1)]  # facet rows are nonzero, so no row vanishes on the summand
@@ -289,7 +286,7 @@ def principal_ideal_member(space: OrderedSpace, x: Vec, a: Vec) -> bool:
     the moduli |F x| and |F a|, and some multiple of |F a| is above |F x|
     iff F x vanishes wherever F a does.
     """
-    return support(embed(space, x)) <= support(embed(space, a))
+    return support(_image(space, x)[1]) <= support(_image(space, a)[1])
 
 
 def extend_band(space: OrderedSpace, B) -> frozenset[int]:

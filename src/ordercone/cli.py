@@ -681,10 +681,17 @@ def main(argv=None) -> int:
     except OrderConeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if cmd.verb == "selftest" and cmd.output_mode == "text":
-        print(_render_selftest_text(report))
-    else:
-        print(render(report, cmd.output_mode))
+    try:
+        if cmd.verb == "selftest" and cmd.output_mode == "text":
+            print(_render_selftest_text(report))
+        else:
+            print(render(report, cmd.output_mode))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if cmd.verb == "selftest" and report.result["failed"] > 0:
         return 1
     return 0

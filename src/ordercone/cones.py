@@ -5,6 +5,13 @@ both representations: extreme rays (generators) and facet functionals.  The
 facet matrix doubles as the bipositive embedding into the coordinatewise
 lattice Q^m, which is how every order-theoretic question downstream becomes
 finite arithmetic.
+
+That arithmetic runs on Python ints.  Each space caches its facet matrix as
+a common denominator D and the int rows D F (`OrderedSpace.int_facets`); a
+vector x is scaled once to ints d x, so that D d F x is a row of int sums
+(`_image`).  Signs and supports are read off those sums, and a `Fraction`
+is built only for a value that is handed back.  Double description
+(`extreme_rays`) likewise carries its rays as primitive int rows.
 """
 
 from __future__ import annotations
@@ -12,12 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
+from operator import mul
 
 from .errors import NotGenerating, NotPointed, ParseError
 from .linalg import (
     Mat,
     Vec,
-    dot,
+    _coprime,
+    _fractions,
+    _int_rows,
+    _ints,
+    _over,
     independent_subset,
     invert,
     is_zero_vec,
@@ -29,7 +42,6 @@ from .linalg import (
     transpose,
     vec,
     vmax,
-    vsub,
 )
 from .lp import Polyhedron
 
@@ -47,36 +59,62 @@ def extreme_rays(A: Mat) -> tuple[Vec, ...]:
     remaining rows in input order.  Adjacency of two rays is decided by the
     rank of their common tight rows among the constraints processed so far.
     Requires rank(A) = n; the output is sorted lexicographically.
+
+    The cuts run on ints (`_cut`): the rows of A scaled to coprime ints, and
+    every ray a primitive int row.  The rays come back as primitive Fraction
+    rows, the same as `primitive` gives.
     """
     n = len(A[0])
     seed = independent_subset(A)
     if len(seed) < n:
         raise ValueError("extreme_rays needs a pointed cone (rank deficient input)")
     Binv = invert(tuple(A[i] for i in seed))
-    rays = [primitive(col) for col in transpose(Binv)]
-    active = list(seed)
+    rays = _cut([_coprime(a) for a in A], seed, [_coprime(col) for col in transpose(Binv)])
+    return tuple(_fractions(r) for r in sorted(set(rays)))
+
+
+def _cut(A: list[list[int]], seed: tuple[int, ...], rays: list[list[int]]) -> list[tuple[int, ...]]:
+    """The double description loop of `extreme_rays`, on int rows.
+
+    `rays` are the seed cone's rays as primitive int rows.  Each ray carries
+    its zero set among the rows processed so far, as a bit mask.  A row a
+    splits the rays by the sign of a . r; each adjacent pair r+, r- with
+    s+ = a . r+ > 0 > s- = a . r- gives the ray s+ r- - s- r+ over its gcd,
+    a positive combination of the two, so its zero set is theirs in common
+    plus row a.  Two rays are adjacent iff their common zero set has rank
+    n - 2, which needs at least n - 2 rows.
+    """
+    n = len(A[0])
+    zeros = [sum(1 << i for i in seed if not sum(map(mul, A[i], r))) for r in rays]
+    state = list(zip(map(tuple, rays), zeros))
     seed_set = set(seed)
 
-    def adjacent(r1: Vec, r2: Vec) -> bool:
-        tight = tuple(A[i] for i in active if dot(A[i], r1) == 0 and dot(A[i], r2) == 0)
-        return rank(tight) == n - 2
+    def adjacent(z1: int, z2: int) -> bool:
+        common = z1 & z2
+        if common.bit_count() < n - 2:
+            return False
+        return rank([A[i] for i in range(len(A)) if common >> i & 1]) == n - 2
 
     for idx in (i for i in range(len(A)) if i not in seed_set):
-        a = A[idx]
+        a, bit = A[idx], 1 << idx
         plus, zero, minus = [], [], []
-        for r in rays:
-            s = dot(a, r)
-            (plus if s > 0 else zero if s == 0 else minus).append(r)
-        if minus:
-            fresh = [
-                primitive(vsub(tuple(dot(a, rp) * e for e in rm), tuple(dot(a, rm) * e for e in rp)))
-                for rp in plus
-                for rm in minus
-                if adjacent(rp, rm)
-            ]
-            rays = plus + zero + fresh
-        active.append(idx)
-    return tuple(sorted(set(rays)))
+        for r, z in state:
+            s = sum(map(mul, a, r))
+            if s > 0:
+                plus.append((r, z, s))
+            elif s:
+                minus.append((r, z, s))
+            else:
+                zero.append((r, z | bit))
+        fresh = []
+        for rp, zp, sp in plus:
+            for rm, zm, sm in minus:
+                if adjacent(zp, zm):
+                    new = [sp * e - sm * f for e, f in zip(rm, rp)]
+                    g = gcd(*new)
+                    fresh.append((tuple([e // g for e in new]), zp & zm | bit))
+        state = [(r, z) for r, z, _ in plus] + zero + fresh
+    return [r for r, _ in state]
 
 
 @dataclass(frozen=True)
@@ -86,7 +124,8 @@ class OrderedSpace:
     The facet matrix F doubles as the embedding into Q^m.  `atom_supports`
     holds supp(F g) for each generator g, in generator order: which atoms lie
     in which face.  It is derived from the two fields before it, so it takes
-    no part in equality or repr.
+    no part in equality or repr; nor do the cached `int_facets`, `row_basis`
+    and `components`.
     """
 
     name: str
@@ -98,6 +137,16 @@ class OrderedSpace:
     @property
     def m(self) -> int:
         return len(self.F)
+
+    @cached_property
+    def int_facets(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D F) for D the lcm of the denominators of F: F as int rows.
+
+        D is one factor for all rows, so (D F x)_j / D is f_j(x) itself and
+        not a per-row multiple of it.
+        """
+        D, rows = _int_rows(self.F)
+        return D, tuple(map(tuple, rows))
 
     @cached_property
     def row_basis(self) -> tuple[tuple[int, ...], Mat, Mat]:
@@ -176,11 +225,12 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
             ok = rank(face) == dim
             if ok:
                 try:
-                    reduced = extreme_rays(extreme_rays(face))
+                    # No rays means the facets cut out only the origin.
+                    rays = extreme_rays(face)
+                    ok = bool(rays) and set(extreme_rays(rays)) == set(dual)
                 except ValueError:
                     # the facet system cuts out a degenerate cone
-                    reduced = None
-                ok = reduced is not None and set(reduced) == set(dual)
+                    ok = False
             if not ok:
                 raise ParseError("facets do not match the cone generated by the generators")
             face = face if set(face) == set(dual) else dual
@@ -196,7 +246,8 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
         face = face if set(face) == set(irred) else irred
         gens = canon_gens
 
-    images = [mat_vec(face, g) for g in gens]
+    rows = _int_rows(face)[1]
+    images = [[sum(map(mul, f, _ints(g)[1])) for f in rows] for g in gens]
     if any(e < 0 for image in images for e in image):  # cross-check both representations agree
         raise ParseError("internal representation mismatch")
 
@@ -204,19 +255,34 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
     return OrderedSpace(name=name, dim=dim, generators=gens, F=face, atom_supports=supports)
 
 
+def _sums(space: OrderedSpace, xi: list[int]) -> list[int]:
+    """D F xi for an int vector xi, as int sums; another length is refused."""
+    if len(xi) != space.dim:
+        raise ValueError(f"a vector of length {len(xi)} in a space of dimension {space.dim}")
+    return [sum(map(mul, f, xi)) for f in space.int_facets[1]]
+
+
+def _image(space: OrderedSpace, x: Vec) -> tuple[int, list[int]]:
+    """(S, S F x) for an int S > 0: the image of x as a row of int sums."""
+    d, xi = _ints(x)
+    return space.int_facets[0] * d, _sums(space, xi)
+
+
 def leq(space: OrderedSpace, x: Vec, y: Vec) -> bool:
     """x <= y in the cone order, i.e. every facet functional is >= on y - x."""
-    d = vsub(y, x)
-    return all(dot(f, d) >= 0 for f in space.F)
+    dx, xi = _ints(x)
+    dy, yi = _ints(y)
+    return all(e >= 0 for e in _sums(space, [b * dx - a * dy for a, b in zip(xi, yi, strict=True)]))
 
 
 def in_cone(space: OrderedSpace, x: Vec) -> bool:
-    return all(dot(f, x) >= 0 for f in space.F)
+    return all(e >= 0 for e in _sums(space, _ints(x)[1]))
 
 
 def embed(space: OrderedSpace, x: Vec) -> Vec:
     """Image of x under the facet embedding into coordinatewise-ordered Q^m."""
-    return mat_vec(space.F, x)
+    S, y = _image(space, x)
+    return _over(y, S)
 
 
 def upper_bound_polyhedron(space: OrderedSpace, M) -> Polyhedron:
@@ -250,10 +316,7 @@ def archimedean_certificate(space: OrderedSpace, x: Vec, y: Vec) -> Fraction | N
     n*x <= y fails for every integer n > B; when x <= 0 no such obstruction
     exists and the scaling comparison never terminates the order.
     """
-    worst = None
-    for f in space.F:
-        fx = dot(f, x)
-        if fx > 0:
-            bound = dot(f, y) / fx
-            worst = bound if worst is None else min(worst, bound)
-    return worst
+    Sx, fx = _image(space, x)
+    Sy, fy = _image(space, y)
+    bounds = [Fraction(b * Sx, a * Sy) for a, b in zip(fx, fy) if a > 0]
+    return min(bounds) if bounds else None

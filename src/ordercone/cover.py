@@ -15,9 +15,9 @@ f_j(z) = w_j once t is large.  So every question about the upper sets
 
 from __future__ import annotations
 
-from .cones import OrderedSpace, embed
+from .cones import OrderedSpace, _image, embed
 from .errors import ParseError
-from .linalg import Vec, dot, mat, vabs, vec
+from .linalg import Vec, mat, vabs, vec
 from .lp import Polyhedron, feasible_point
 
 
@@ -31,9 +31,12 @@ def modulus_dominates(space: OrderedSpace, x: Vec, y: Vec) -> bool:
 
     {z : F z >= |F y|} lies inside {z : F z >= |F x|} iff each minimum
     min{f_j(z) : F z >= |F y|} reaches |F x|_j.  By order density that
-    minimum is |F y|_j, so the test is |F x| <= |F y| pointwise.
+    minimum is |F y|_j, so the test is |F x| <= |F y| pointwise: with
+    S F x and T F y as int sums, |S F x| T <= |T F y| S.
     """
-    return all(a <= b for a, b in zip(cover_modulus(space, x), cover_modulus(space, y)))
+    S, u = _image(space, x)
+    T, v = _image(space, y)
+    return all(abs(a) * T <= abs(b) * S for a, b in zip(u, v))
 
 
 def is_majorizing(space: OrderedSpace, basis, J) -> bool:
@@ -51,8 +54,7 @@ def is_majorizing(space: OrderedSpace, basis, J) -> bool:
         return not J
     d = len(basis)
     rows, rhs = [], []
-    for j in range(space.m):
-        coeffs = tuple(dot(space.F[j], b) for b in basis)
+    for j, coeffs in enumerate(zip(*[embed(space, b) for b in basis])):
         if j + 1 in J:
             rows.append(coeffs)
             rhs.append(1)

@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +282,35 @@ def test_space_files(tmp_path, capsys):
     degenerate.write_text('{"dim": 2, "generators": [[1, 0]]}')
     code, _, err = run(["classify", "--space", str(degenerate)], capsys)
     assert code == 1 and "NotGenerating" in err
+
+
+def test_facets_cutting_out_only_the_origin_are_a_mismatch(tmp_path, capsys):
+    # The five facets meet in the origin alone, so they cannot be the facets
+    # of the cone the generators span.
+    gens = [[2, 0, -1], [2, -1, -2], [0, 2, 1], [2, 2, 0], [2, -2, -1]]
+    facets = [[-2, 0, 2], [1, 0, -2], [2, -1, -1], [-1, 1, 2], [2, -1, 0]]
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({"dim": 3, "generators": gens, "facets": facets}))
+    for verb in ("classify", "bands", "projections"):
+        code, _, err = run([verb, "--space", str(both)], capsys)
+        assert code == 2 and "facets do not match" in err and "Traceback" not in err, verb
+    alone = tmp_path / "facets.json"
+    alone.write_text(json.dumps({"dim": 3, "facets": facets}))
+    code, _, err = run(["classify", "--space", str(alone)], capsys)
+    assert code == 1 and "NotGenerating" in err
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # Nothing reads the output, so the report's print meets a closed pipe.
+    src = Path(ordercone.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "ordercone.cli", "bands", "--example", "simplex:8", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_huge_dimensions_are_refused_before_any_work(tmp_path, capsys):

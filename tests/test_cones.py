@@ -1,6 +1,8 @@
 """Space construction, order queries, and suprema on the worked fixtures."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -25,10 +27,27 @@ from ordercone.fixtures import (
     random_positive,
     random_simplicial_space,
     random_space,
+    random_unimodular,
     simplex,
 )
-from ordercone.linalg import dot, mat, mat_vec, nullspace, primitive, rank, solve_linear, transpose, vec
+from ordercone.linalg import (
+    dot,
+    independent_subset,
+    invert,
+    mat,
+    mat_vec,
+    nullspace,
+    primitive,
+    rank,
+    solve_linear,
+    transpose,
+    vadd,
+    vec,
+    vsub,
+)
 from ordercone.lp import Polyhedron, lp
+from test_bands import direct_sum, oracle_spaces, pentagon
+from test_cover import moment_cone
 
 V1, V2, V3, V4 = (vec(g) for g in FOUR_RAY_GENERATORS)
 
@@ -218,6 +237,143 @@ def test_row_basis_is_computed_once_and_left_out_of_equality():
 
 def test_extreme_rays_trivial_cone():
     assert extreme_rays(mat([(1,), (-1,)])) == ()
+    assert fraction_extreme_rays(mat([(1,), (-1,)])) == ()
+
+
+# The Fraction routes that the integer facet matrix and the integer double
+# description replaced, kept as oracles.
+
+
+def fraction_extreme_rays(A):
+    n = len(A[0])
+    seed = independent_subset(A)
+    if len(seed) < n:
+        raise ValueError("extreme_rays needs a pointed cone (rank deficient input)")
+    Binv = invert(tuple(A[i] for i in seed))
+    rays = [primitive(col) for col in transpose(Binv)]
+    active = list(seed)
+    seed_set = set(seed)
+
+    def adjacent(r1, r2):
+        tight = tuple(A[i] for i in active if dot(A[i], r1) == 0 and dot(A[i], r2) == 0)
+        return rank(tight) == n - 2
+
+    for idx in (i for i in range(len(A)) if i not in seed_set):
+        a = A[idx]
+        plus, zero, minus = [], [], []
+        for r in rays:
+            s = dot(a, r)
+            (plus if s > 0 else zero if s == 0 else minus).append(r)
+        if minus:
+            fresh = [
+                primitive(vsub(tuple(dot(a, rp) * e for e in rm), tuple(dot(a, rm) * e for e in rp)))
+                for rp in plus
+                for rm in minus
+                if adjacent(rp, rm)
+            ]
+            rays = plus + zero + fresh
+        active.append(idx)
+    return tuple(sorted(set(rays)))
+
+
+def fraction_embed(space, x):
+    return mat_vec(space.F, x)
+
+
+def fraction_in_cone(space, x):
+    return all(dot(f, x) >= 0 for f in space.F)
+
+
+def fraction_leq(space, x, y):
+    d = vsub(y, x)
+    return all(dot(f, d) >= 0 for f in space.F)
+
+
+def fraction_archimedean_certificate(space, x, y):
+    worst = None
+    for f in space.F:
+        fx = dot(f, x)
+        if fx > 0:
+            bound = dot(f, y) / fx
+            worst = bound if worst is None else min(worst, bound)
+    return worst
+
+
+def integer_route_spaces():
+    """Every kind of space the integer routes see, facet rows scaled by non-integers too."""
+    rng = random.Random(14071)
+    spaces = oracle_spaces() + [random_space(rng) for _ in range(12)]
+    spaces += [moment_cone(range(-2, 4), 3), moment_cone((-3, -1, 0, 2, 5), 2), moment_cone(range(-3, 4), 4)]
+    spaces += [
+        direct_sum(four_ray(), simplex(2), scramble=random_unimodular(rng, 5)),
+        direct_sum(pentagon(), four_ray(), scramble=random_unimodular(rng, 6)),
+    ]
+    factors = (Fraction(1, 2), Fraction(3, 4), Fraction(5, 3), Fraction(2, 7), Fraction(9, 5))
+    scaled = [
+        replace(sp, F=tuple(tuple(e * factors[j % len(factors)] for e in f) for j, f in enumerate(sp.F)))
+        for sp in spaces[::3]
+    ]
+    return spaces + scaled, rng
+
+
+def rational_vector(rng, n):
+    return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5))) for _ in range(n))
+
+
+def test_integer_facet_routes_match_the_fraction_routes():
+    spaces, rng = integer_route_spaces()
+    assert any(e.denominator > 1 for sp in spaces for f in sp.F for e in f)
+    for sp in spaces:
+        for _ in range(12):
+            x, y = rational_vector(rng, sp.dim), rational_vector(rng, sp.dim)
+            pos = tuple(Fraction(e, rng.choice((1, 2, 3))) for e in random_positive(rng, sp))
+            for u, v in ((x, y), (pos, x), (x, vadd(x, pos)), (pos, pos)):
+                assert repr(embed(sp, u)) == repr(fraction_embed(sp, u)), sp.name
+                assert repr(in_cone(sp, u)) == repr(fraction_in_cone(sp, u)), sp.name
+                assert repr(leq(sp, u, v)) == repr(fraction_leq(sp, u, v)), sp.name
+                got = archimedean_certificate(sp, u, v)
+                assert repr(got) == repr(fraction_archimedean_certificate(sp, u, v)), sp.name
+        assert embed(sp, (0,) * sp.dim) == (Fraction(0),) * sp.m
+        with pytest.raises(ValueError):
+            in_cone(sp, (1,) * (sp.dim + 1))
+
+
+def test_integer_double_description_matches_the_fraction_route():
+    spaces, rng = integer_route_spaces()
+    for sp in spaces:
+        # Redundant rows: positive sums of two facets, mixed in.
+        extra = [vadd(sp.F[i], sp.F[j]) for i, j in combinations(range(sp.m), 2)][:4]
+        mixed = list(sp.F) + extra
+        rng.shuffle(mixed)
+        for A in (sp.F, sp.generators, tuple(mixed)):
+            got = extreme_rays(A)
+            assert repr(got) == repr(fraction_extreme_rays(A)), sp.name
+        assert extreme_rays(sp.F) == tuple(sorted(sp.generators))
+    for A in (mat([(1, 0), (-1, 0)]), mat([(1, 0, 0), (0, 1, 0)])):  # rank deficient
+        with pytest.raises(ValueError):
+            fraction_extreme_rays(A)
+        with pytest.raises(ValueError):
+            extreme_rays(A)
+
+
+def test_build_space_refuses_facets_that_cut_out_only_the_origin():
+    gens = mat([(2, 0, -1), (2, -1, -2), (0, 2, 1), (2, 2, 0), (2, -2, -1)])
+    facets = mat([(-2, 0, 2), (1, 0, -2), (2, -1, -1), (-1, 1, 2), (2, -1, 0)])
+    assert extreme_rays(facets) == ()
+    with pytest.raises(ParseError, match="facets do not match"):
+        build_space(3, generators=gens, facets=facets)
+    with pytest.raises(NotGenerating):
+        build_space(3, facets=facets)
+
+
+def test_int_facets_are_cached_with_the_true_denominator():
+    sp = four_ray()
+    half = replace(sp, F=tuple(tuple(e / 2 for e in f) for f in sp.F))
+    assert sp.int_facets == (1, tuple(tuple(int(e) for e in f) for f in sp.F))
+    assert half.int_facets == (2, sp.int_facets[1])
+    assert half.int_facets is half.int_facets
+    assert half == replace(half) and repr(half) == repr(replace(half))
+    assert embed(half, V1) == vec([0, 1, 1, 0])
 
 
 def test_build_space_coerces_rational_strings():

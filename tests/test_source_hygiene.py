@@ -91,12 +91,19 @@ def test_no_bare_assert_in_the_certified_layers():
     assert found == []
 
 
+# Helpers of `linalg` that build Fractions: calling one is a rational step too.
+FRACTION_BUILDERS = {
+    "dot", "mat_vec", "vadd", "vsub", "vscale", "primitive", "invert", "solve_linear", "_over", "_fractions"
+}
+
+
 def rational_steps(func: ast.FunctionDef) -> list[str]:
-    """`Fraction(...)` calls and true divisions inside a function."""
+    """`Fraction(...)` calls, calls of the Fraction builders and true divisions inside a function."""
     found = []
     for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
-            found.append(f"Fraction( at line {node.lineno}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "Fraction" or node.func.id in FRACTION_BUILDERS:
+                found.append(f"{node.func.id}( at line {node.lineno}")
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append(f"/ at line {node.lineno}")
     return found
@@ -111,16 +118,24 @@ def function(module: str, name: str) -> ast.FunctionDef:
 
 
 def test_rational_steps_are_detected():
-    src = "def f(a, b):\n    c = a // b\n    c /= 2\n    return Fraction(a) + a / b\n"
-    assert rational_steps(ast.parse(src).body[0]) == ["/ at line 3", "Fraction( at line 4", "/ at line 4"]
+    src = "def f(a, b):\n    c = a // b\n    c /= 2\n    return Fraction(a) + a / b + dot(a, b)\n"
+    assert rational_steps(ast.parse(src).body[0]) == [
+        "/ at line 3",
+        "dot( at line 4",
+        "Fraction( at line 4",
+        "/ at line 4",
+    ]
 
 
 def test_elimination_kernel_stays_on_integers():
-    # The pivot and the simplex loop run on integer rows; only their callers
-    # build Fractions.
-    assert {f"{m}.{f}": rational_steps(function(m, f)) for m, f in (("linalg", "_pivot"), ("lp", "_simplex"))} == {
+    # The pivot, the simplex loop, the cone test and the double description
+    # loop run on integer rows; only their callers build Fractions.
+    kernel = (("linalg", "_pivot"), ("lp", "_simplex"), ("cones", "in_cone"), ("cones", "_cut"))
+    assert {f"{m}.{f}": rational_steps(function(m, f)) for m, f in kernel} == {
         "linalg._pivot": [],
         "lp._simplex": [],
+        "cones.in_cone": [],
+        "cones._cut": [],
     }
 
 
