@@ -21,7 +21,10 @@ from .bands import (
     Band,
     DEFAULT_ENUMERATION_CAP,
     Subspace,
+    _by_carrier,
+    _carrier,
     _is_separator,
+    _kernel_is_directed,
     band_of,
     disjoint_complement,
     is_band,
@@ -46,8 +49,8 @@ from .linalg import (
     ONE,
     Vec,
     ZERO,
-    _coprime,
-    _int_rows,
+    _canonical_rows,
+    _over,
     canonical_subspace_basis,
     dot,
     is_zero_vec,
@@ -270,53 +273,63 @@ def _show(v: Vec) -> str:
     return "[" + ", ".join(map(str, v)) + "]"
 
 
-def _project(space: OrderedSpace, B, L: frozenset[int]) -> ProjectionReport:
+def _project(space: OrderedSpace, B: Band, L: frozenset[int]) -> ProjectionReport:
     """Build the projection onto the band B = ker F_L along ker F_{[m]-L}, and check it.
 
     L is the band's maximal zero set.  The band is a projection band iff L is
     a union of the matroid's components (`OrderedSpace.components`), i.e.
     iff r(L) + r([m] - L) = n.  Then the basis rows R of `row_basis` split
     into bases of the rows in L and of the rest, and P = F_R^{-1} E F_R, with
-    E dropping the basis rows in L, is the projection: F P x is F x with the
-    rows of L set to 0.  P is the certificate: it must be idempotent and
-    every atom g must satisfy that image equation.  The atoms span Q^n and F
-    is injective, so the equation pins P's range and kernel, and it keeps
-    P g and g - P g positive, as their images split F g >= 0.  A failed
-    check raises CertificateError.
+    E dropping the basis rows in L, is the projection.  P is the certificate,
+    checked by one identity F P = E_L F, with E_L setting the rows in L to 0:
+    F P x is F x with the rows of L set to 0.  It implies the rest.  P is
+    idempotent, as F P P = E_L F P = E_L E_L F = E_L F = F P and F is
+    injective; its range and kernel are ker F_L and ker F_{[m]-L}; and it
+    keeps P g and g - P g positive for g >= 0, as their images E_L F g and
+    F g - E_L F g split F g >= 0.  A failed check raises CertificateError.
 
-    The checks run on Python ints.  With D the lcm of the denominators of
-    F_R^{-1} and d F the space's `int_facets`, P_I = (D F_R^{-1}) E (d F_R)
-    is S P for S = D d; the checks read P_I P_I = S P_I and, with each atom
-    g scaled to coprime ints by a positive factor, f . P_I g = S (f . g) for
-    each row f of d F outside L and 0 for f in L.  They hold iff the
-    rational checks do.
+    The check runs on Python ints.  With (D, D F_R^{-1}) the space's
+    `int_row_inverse` and (d, d F) its `int_facets`, P_I = (D F_R^{-1}) E
+    (d F_R) is S P for S = D d, and the identity reads (d F) P_I =
+    S E_L (d F).  It holds iff the rational identity does.
     """
     if not _is_separator(space, L):
         return ProjectionReport(B, False, None)
-    R, Rinv, _ = space.row_basis
-    D, Rinv_I = _int_rows(Rinv)
+    R = space.row_basis[0]
+    D, Rinv = space.int_row_inverse
     d, F_I = space.int_facets
-    F_R = [F_I[i] for i in R]
-    kept = [t for t, i in enumerate(R) if i + 1 not in L]
-    P = [[sum(row[t] * F_R[t][c] for t in kept) for c in range(space.dim)] for row in Rinv_I]
+    kept = [(t, F_I[i]) for t, i in enumerate(R) if i + 1 not in L]
+    P = [[sum(row[t] * f[c] for t, f in kept) for c in range(space.dim)] for row in Rinv]
     S = D * d
     cols = list(zip(*P))
-    if [[sum(map(mul, row, col)) for col in cols] for row in P] != [[S * e for e in row] for row in P]:
-        raise CertificateError("band projection is not idempotent")
-    for g in space.generators:
-        g_I = _coprime(g)
-        Pg = [sum(map(mul, row, g_I)) for row in P]
-        if any(sum(map(mul, f, Pg)) != (0 if j in L else S * sum(map(mul, f, g_I))) for j, f in enumerate(F_I, 1)):
-            raise CertificateError(f"band projection does not split the atom {_show(g)} along its facets")
-    return ProjectionReport(B, True, tuple(tuple(Fraction(e, S) for e in row) for row in P))
+    zero = [0] * space.dim
+    for j, f in enumerate(F_I, 1):
+        if [sum(map(mul, f, col)) for col in cols] != (zero if j in L else [S * e for e in f]):
+            raise CertificateError(f"band projection breaks F P = E_L F at facet row {j}")
+    return ProjectionReport(B, True, tuple(_over(row, S) for row in P))
 
 
-def is_projection_band(space: OrderedSpace, B: Band) -> ProjectionReport:
-    """Whether X = B + B^d directly; if so, build and verify the band projection."""
-    if not is_band(space, B):
-        raise NotABand("is_projection_band needs a band")
+def is_projection_band(space: OrderedSpace, B) -> ProjectionReport:
+    """Whether X = B + B^d directly; if so, build and verify the band projection.
+
+    B is a Band or a Subspace; the report always carries a Band, B itself or
+    the subspace with its maximal zero set L and directedness.  When L is a
+    union of components, ker F_L is a band (`_project`), so B is a band iff
+    its carrier is ker F_L: L is B's maximal zero set, so ker F_L contains B,
+    and B^dd = ker F_L.  Any other L is no projection band, and only whether
+    B is a band is left to decide.
+    """
     carrier = B.carrier if isinstance(B, Band) else B
-    return _project(space, B, vanish_set(space, carrier))
+    L = vanish_set(space, carrier)
+    if _is_separator(space, L):
+        band = kernel_of_rows(space, L).basis == carrier.basis
+    else:
+        band = is_band(space, carrier)
+    if not band:
+        raise NotABand("is_projection_band needs a band")
+    if not isinstance(B, Band):
+        B = Band(carrier, L, _kernel_is_directed(space, L, carrier.dim))
+    return _project(space, B, L)
 
 
 def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -334,13 +347,13 @@ def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERAT
         raise CapExceeded(f"order projections over 2^{len(comps)} unions of components exceed 2^{cap}")
     full = frozenset(range(1, space.m + 1))
     pieces = [kernel_of_rows(space, full - C).basis for C in comps]
-    reports = []
+    found = []
     for mask in range(1 << len(comps)):
         L = frozenset().union(*[C for t, C in enumerate(comps) if mask >> t & 1])
-        vectors = tuple(chain.from_iterable(b for t, b in enumerate(pieces) if not mask >> t & 1))
-        carrier = Subspace(space.dim, canonical_subspace_basis(vectors, space.dim))
-        reports.append(_project(space, Band(carrier, L, True), L))
-    return tuple(sorted(reports, key=lambda r: (r.band.carrier.dim, r.band.carrier.basis)))
+        rows = _canonical_rows(list(chain.from_iterable(b for t, b in enumerate(pieces) if not mask >> t & 1)))
+        found.append((rows, L))
+    found.sort(key=_by_carrier)
+    return tuple(_project(space, Band(_carrier(space, rows), L, True), L) for rows, L in found)
 
 
 # --- Riesz decomposition probes ----------------------------------------------

@@ -20,6 +20,8 @@ from .linalg import (
     Mat,
     Vec,
     ZERO,
+    _canonical_rows,
+    _fractions,
     _ints,
     canonical_subspace_basis,
     in_span,
@@ -119,40 +121,44 @@ def _as_vectors(space: OrderedSpace, M) -> tuple[Vec, ...]:
     return tuple(vec(v) for v in M)
 
 
+def _complement(space: OrderedSpace, M) -> tuple[frozenset[int], Subspace]:
+    """(J, ker F_J) for J the rows supporting M's images: the carrier of M^d."""
+    J = union_support(space, _as_vectors(space, M))
+    return J, kernel_of_rows(space, J)
+
+
 def disjoint_complement(space: OrderedSpace, M) -> Band:
     """M^d = {z : z disjoint from every element of M}, always a band.
 
     M may be a list of vectors, a Subspace, or a Band; the complement is the
     kernel of the rows supporting M's images (empty M complements to X).
     """
-    J = union_support(space, _as_vectors(space, M))
-    carrier = kernel_of_rows(space, J)
-    return Band(carrier, J, _kernel_is_directed(space, J, carrier))
+    J, carrier = _complement(space, M)
+    return Band(carrier, J, _kernel_is_directed(space, J, carrier.dim))
 
 
 def band_of(space: OrderedSpace, a: Vec) -> Band:
     """The principal band {a}^dd."""
-    return disjoint_complement(space, disjoint_complement(space, [a]))
+    return disjoint_complement(space, _complement(space, [a])[1])
 
 
 def is_band(space: OrderedSpace, D) -> bool:
     """Whether D equals its double disjoint complement."""
     if isinstance(D, Band):
         D = D.carrier
-    dd = disjoint_complement(space, disjoint_complement(space, D))
-    return dd.carrier.basis == D.basis
+    return _complement(space, _complement(space, D)[1])[1].basis == D.basis
 
 
-def _kernel_is_directed(space: OrderedSpace, J, carrier: Subspace) -> bool:
-    """Whether the row kernel carrier = ker(F_J) is directed.
+def _kernel_is_directed(space: OrderedSpace, J, dim: int) -> bool:
+    """Whether the row kernel ker(F_J), of dimension dim, is directed.
 
     Every f_j is >= 0 on K, so K meets ker(F_J) in a face of K, and a face of
     a pointed polyhedral cone is generated by the atoms it contains: here the
-    atoms whose supports miss J.  The carrier is spanned by its positive part
-    iff those atoms have rank carrier.dim.
+    atoms whose supports miss J.  The kernel is spanned by its positive part
+    iff those atoms have rank dim.
     """
-    inside = tuple(g for g, s in zip(space.generators, space.atom_supports) if not s & J)
-    return rank(inside) == carrier.dim
+    inside = tuple(g for g, s in zip(space.int_generators, space.atom_supports) if not s & J)
+    return rank(inside) == dim
 
 
 def positive_generators(space: OrderedSpace, D: Subspace) -> tuple[Vec, ...]:
@@ -196,21 +202,23 @@ def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
 
     Close-by-one, the depth-first form of Ganter's NextClosure (1984), keeps
     the cover cl(L + j) only when j is the least row it adds, so each flat is
-    visited, and its piece computed, once.  Returns the pieces by flat and,
-    for each flat L, the map from each row j of C outside L to cl(L + j).
-    Raises CapExceeded once `before` plus the flats visited here exceed 2^cap.
+    visited once.  Only the empty flat's piece is eliminated; a cover's piece
+    is its parent's cut by the class's key (`_cut_piece`).  The pieces are
+    int bases, not canonical ones.  Returns the pieces by flat and, for each
+    flat L, the map from each row j of C outside L to cl(L + j).  Raises
+    CapExceeded once `before` plus the flats visited here exceed 2^cap.
     """
     rest = frozenset(range(1, space.m + 1)) - C
     rows = [(j, space.int_facets[1][j - 1]) for j in sorted(C)]  # positive scalings keep the classes
-    pieces: dict[frozenset[int], Subspace] = {}
+    root = [_ints(b)[1] for b in kernel_of_rows(space, rest).basis]
+    pieces: dict[frozenset[int], list[list[int]]] = {}
     covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
-    todo = [(frozenset(), 1)]  # facet rows are nonzero, so no row vanishes on the summand
+    todo = [(frozenset(), 1, root)]  # facet rows are nonzero, so no row vanishes on the summand
     while todo:
         if (before + len(pieces)).bit_length() > cap:  # >= 2^cap, without building 2^cap for a huge cap
             raise CapExceeded(f"band enumeration visits more than 2^{cap} flats")
-        L, start = todo.pop()
-        K = pieces[L] = kernel_of_rows(space, rest | L)
-        basis = [_ints(b)[1] for b in K.basis]
+        L, start, basis = todo.pop()
+        pieces[L] = basis
         classes: dict[tuple[int, ...], set[int]] = {}
         for j, f in rows:
             if j not in L:
@@ -218,13 +226,34 @@ def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
                 g = gcd(*r) if next(e for e in r if e) > 0 else -gcd(*r)
                 classes.setdefault(tuple([e // g for e in r]), set()).add(j)
         up = covers[L] = {}
-        for cls in classes.values():
+        for key, cls in classes.items():
             cover = L | cls
             for j in cls:
                 up[j] = cover
             if min(cls) >= start:
-                todo.append((cover, min(cls) + 1))
+                todo.append((cover, min(cls) + 1, _cut_piece(basis, key)))
     return pieces, covers
+
+
+def _cut_piece(basis: list[list[int]], r: tuple[int, ...]) -> list[list[int]]:
+    """A basis of the hyperplane {sum c_i b_i : sum c_i r_i = 0} of span(basis).
+
+    With p the first index where r_p != 0, the vectors r_p b_i - r_i b_p for
+    i != p, each over its gcd, are independent and lie in the hyperplane,
+    which has one dimension less than the span.
+    """
+    p = next(i for i, e in enumerate(r) if e)
+    bp, rp = basis[p], r[p]
+    out = []
+    for i, (b, ri) in enumerate(zip(basis, r)):
+        if i == p:
+            continue
+        if ri:
+            b = [rp * e - ri * q for e, q in zip(b, bp)]
+            g = gcd(*b)
+            b = [e // g for e in b] if g > 1 else b
+        out.append(b)
+    return out
 
 
 def _closure(covers, S: frozenset[int]) -> frozenset[int]:
@@ -264,18 +293,36 @@ def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> 
         pieces, covers = _flats(space, C, cap, visited)
         visited += len(pieces)
         complement = {L: _closure(covers, C - L) for L in pieces}
-        band_flats = [L for L in pieces if complement[complement[L]] == L]
-        parts.append([(L, pieces[L], _kernel_is_directed(space, full - C | L, pieces[L])) for L in band_flats])
+        parts.append(
+            [
+                (L, K, _kernel_is_directed(space, full - C | L, len(K)))
+                for L, K in pieces.items()
+                if complement[complement[L]] == L
+            ]
+        )
     count = prod(map(len, parts))
     if (count - 1).bit_length() > cap:  # count > 2^cap
         raise CapExceeded(f"the space has {count} bands, more than 2^{cap}")
     bands = []
     for choice in product(*parts):
         zero_sets, summands, directed = zip(*choice)
-        vectors = tuple(chain.from_iterable(K.basis for K in summands))
-        carrier = Subspace(space.dim, canonical_subspace_basis(vectors, space.dim))
-        bands.append(Band(carrier, frozenset().union(*zero_sets), all(directed)))
-    return tuple(sorted(bands, key=lambda b: (b.carrier.dim, b.carrier.basis)))
+        rows = _canonical_rows(list(chain.from_iterable(summands)))
+        bands.append((rows, frozenset().union(*zero_sets), all(directed)))
+    bands.sort(key=_by_carrier)
+    return tuple(Band(_carrier(space, rows), L, directed) for rows, L, directed in bands)
+
+
+def _by_carrier(entry) -> tuple[int, list[list[int]]]:
+    """The (dimension, basis) order of carriers, read off canonical int rows.
+
+    The rows are integers, so their order is that of their Fraction forms.
+    """
+    return len(entry[0]), entry[0]
+
+
+def _carrier(space: OrderedSpace, rows: list[list[int]]) -> Subspace:
+    """The subspace whose canonical basis has these int rows."""
+    return Subspace(space.dim, tuple(map(_fractions, rows)))
 
 
 def principal_ideal_member(space: OrderedSpace, x: Vec, a: Vec) -> bool:

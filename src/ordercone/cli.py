@@ -415,7 +415,7 @@ def _cmd_restrict(space, indices):
         "basis": _mat_json(D.basis),
         "dim": D.dim,
         "isBand": is_band(space, D),
-        "directed": _kernel_is_directed(space, frozenset(range(1, space.m + 1)) - indices, D),
+        "directed": _kernel_is_directed(space, frozenset(range(1, space.m + 1)) - indices, D.dim),
         "isProjectionBand": restriction_is_projection_band(space, indices),
     }
     inputs = dict(_space_inputs(space), support=sorted(indices))

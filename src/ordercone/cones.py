@@ -124,8 +124,8 @@ class OrderedSpace:
     The facet matrix F doubles as the embedding into Q^m.  `atom_supports`
     holds supp(F g) for each generator g, in generator order: which atoms lie
     in which face.  It is derived from the two fields before it, so it takes
-    no part in equality or repr; nor do the cached `int_facets`, `row_basis`
-    and `components`.
+    no part in equality or repr; nor do the cached `int_facets`, `row_basis`,
+    `int_row_inverse`, `int_generators` and `components`.
     """
 
     name: str
@@ -159,6 +159,17 @@ class OrderedSpace:
         Binv = invert(tuple(self.F[i] for i in B))
         BinvT = transpose(Binv)
         return B, Binv, tuple(mat_vec(BinvT, f) for f in self.F)
+
+    @cached_property
+    def int_row_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D F_B^{-1}) for the F_B^{-1} of `row_basis`: that inverse as int rows."""
+        D, rows = _int_rows(self.row_basis[1])
+        return D, tuple(map(tuple, rows))
+
+    @cached_property
+    def int_generators(self) -> tuple[tuple[int, ...], ...]:
+        """The generators as coprime int rows, in generator order."""
+        return tuple(tuple(_coprime(g)) for g in self.generators)
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:

@@ -135,7 +135,7 @@ def _coprime(v) -> list[int]:
 
 
 def _fractions(row: list[int]) -> Vec:
-    return tuple([Fraction(e) for e in row])
+    return tuple([ZERO if not e else ONE if e == 1 else Fraction(e) for e in row])
 
 
 def primitive(v: Vec) -> Vec:
@@ -272,12 +272,17 @@ def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:
     Rows of the RREF, scaled primitive with positive leading entry, ordered by
     pivot column.  Two spans are equal iff their canonical bases are identical.
     """
-    if not vectors:
-        return ()
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
+    return tuple(_fractions(row) for row in _canonical_rows(vectors))
+
+
+def _canonical_rows(vectors) -> list[list[int]]:
+    """The rows of `canonical_subspace_basis`, left as the primitive int rows they are."""
+    if not vectors:
+        return []
     rows, pivots = _echelon(vectors)
-    return tuple(_fractions(row) for row in rows[: len(pivots)])
+    return rows[: len(pivots)]
 
 
 def independent_subset(rows: Mat) -> tuple[int, ...]:

@@ -675,10 +675,14 @@ def test_check_ideal_decomposition_witnesses_non_solid_lines():
 
 
 def test_projection_certificate_survives_optimize():
-    """Under python -O a forged finer component partition still fails the projection's checks."""
+    """Under python -O a forged finer component partition still fails the projection's checks.
+
+    `is_projection_band` takes the separator shortcut on the forged
+    components too, and still ends in the certificate check.
+    """
     script = "\n".join(
         [
-            "from ordercone.atoms import _project",
+            "from ordercone.atoms import _project, is_projection_band",
             "from ordercone.bands import kernel_of_rows",
             "from ordercone.errors import CertificateError",
             "from ordercone.fixtures import four_ray",
@@ -686,12 +690,14 @@ def test_projection_certificate_survives_optimize():
             "sp = four_ray()",
             "sp.__dict__['components'] = tuple(frozenset({j}) for j in range(1, 5))",
             "for L in (frozenset({1}), frozenset({1, 2})):",
-            "    try:",
-            "        _project(sp, kernel_of_rows(sp, L), L)",
-            "    except CertificateError as exc:",
-            "        print('CertificateError:', exc)",
-            "    else:",
-            "        raise SystemExit('no CertificateError')",
+            "    for probe in (lambda: _project(sp, kernel_of_rows(sp, L), L),",
+            "                  lambda: is_projection_band(sp, kernel_of_rows(sp, L))):",
+            "        try:",
+            "            probe()",
+            "        except CertificateError as exc:",
+            "            print('CertificateError:', exc)",
+            "        else:",
+            "            raise SystemExit('no CertificateError')",
         ]
     )
     src = str(Path(ordercone.__file__).resolve().parents[1])
@@ -700,7 +706,7 @@ def test_projection_certificate_survives_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr + res.stdout
-    assert res.stdout.count("CertificateError:") == 2
+    assert res.stdout.count("CertificateError:") == 4
 
 
 def test_integer_certificate_catches_a_corrupted_row_basis():

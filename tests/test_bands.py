@@ -6,11 +6,13 @@ from itertools import combinations
 
 import pytest
 
+from ordercone import linalg
 from ordercone.atoms import ProjectionReport, enumerate_order_projections, is_projection_band
 from ordercone.bands import (
     DEFAULT_ENUMERATION_CAP,
     Band,
     Subspace,
+    _flats,
     _kernel_is_directed,
     band_of,
     disjoint_complement,
@@ -30,7 +32,7 @@ from ordercone.bands import (
     vanish_set,
 )
 from ordercone.cones import build_space, embed, in_cone, sup_in_X
-from ordercone.errors import CapExceeded, ParseError
+from ordercone.errors import CapExceeded, NotABand, ParseError
 from ordercone.fixtures import (
     four_ray,
     random_polygon_space,
@@ -40,8 +42,22 @@ from ordercone.fixtures import (
     random_vector,
     simplex,
 )
-from ordercone.linalg import dot, invert, mat_vec, rank, transpose, vabs, vadd, vec, vscale, vsub, zero_vec
+from ordercone.linalg import (
+    canonical_subspace_basis,
+    dot,
+    invert,
+    mat_vec,
+    rank,
+    transpose,
+    vabs,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+    zero_vec,
+)
 from ordercone.lp import Polyhedron, lp
+from test_cover import moment_cone
 
 
 def line(*v):
@@ -436,8 +452,9 @@ def project_along(space, band, complement):
     """The route `_project` replaced, kept as its oracle: invert [band basis | complement basis].
 
     The projection onto the band along the complement keeps the first k
-    coordinates in that basis; it must be idempotent and split every atom
-    positively.
+    coordinates in that basis.  `_project` certifies its P by one identity
+    F P = E_L F; this oracle checks what that identity implies, directly:
+    P is idempotent and splits every atom positively.
     """
     n, k = space.dim, band.carrier.dim
     if k + complement.dim != n:
@@ -541,7 +558,7 @@ def single_pass_bands(space, cap=DEFAULT_ENUMERATION_CAP):
 
     complement = {L: closure(full - L) for L in kernels}
     bands = (
-        Band(K, L, _kernel_is_directed(space, L, K))
+        Band(K, L, _kernel_is_directed(space, L, K.dim))
         for L, K in kernels.items()
         if complement[complement[L]] == L
     )
@@ -598,7 +615,126 @@ def test_restriction_directedness_face_rule_matches_double_description():
         for k in range(sp.m + 1):
             for J in combinations(range(1, sp.m + 1), k):
                 D = restrict_band(sp, J)
-                directed = _kernel_is_directed(sp, full - frozenset(J), D)
+                directed = _kernel_is_directed(sp, full - frozenset(J), D.dim)
                 assert directed == is_directed_subspace(sp, D), (sp.name, J)
                 answers.add(directed)
     assert answers == {True, False}
+
+
+def random_span(rng, sp):
+    """A span that is often a band: some generators, a row kernel, or random vectors."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return subspace(sp.dim, rng.sample(sp.generators, rng.randint(1, len(sp.generators))))
+    if kind == 1:
+        return kernel_of_rows(sp, rng.sample(range(1, sp.m + 1), rng.randint(0, sp.m)))
+    return subspace(sp.dim, [random_vector(rng, sp.dim, -2, 2) for _ in range(rng.randint(1, sp.dim))])
+
+
+def test_separator_guard_matches_is_band_on_random_spans():
+    rng = random.Random(30512)
+    spaces = [four_ray(), simplex(4)] + [
+        direct_sum(*parts, scramble=random_unimodular(rng, sum(p.dim for p in parts)))
+        for parts in [(four_ray(), simplex(1)), (pentagon(), simplex(2)), (four_ray(), simplex(1), pentagon())]
+    ]
+    answers = set()
+    for sp in spaces:
+        for _ in range(40):
+            D = random_span(rng, sp)
+            if not is_band(sp, D):
+                with pytest.raises(NotABand):
+                    is_projection_band(sp, D)
+                answers.add("not a band")
+                continue
+            rep = is_projection_band(sp, D)
+            assert rep.band == Band(D, vanish_set(sp, D), is_directed_subspace(sp, D)), (sp.name, D)
+            assert rep == project_along(sp, rep.band, disjoint_complement(sp, D).carrier), (sp.name, D)
+            answers.add(rep.is_projection_band)
+    assert answers == {"not a band", True, False}
+
+
+def test_is_projection_band_reports_a_band_for_a_subspace():
+    q3 = simplex(3)
+    e1 = subspace(3, [vec((1, 0, 0))])
+    rep = is_projection_band(q3, e1)
+    assert rep.band == Band(e1, frozenset({2, 3}), True)
+    assert rep.band.carrier.basis == e1.basis and rep.is_projection_band
+    sp = four_ray()
+    D = band_of(sp, sp.generators[0]).carrier
+    rep = is_projection_band(sp, D)
+    assert rep.band == Band(D, vanish_set(sp, D), True) and not rep.is_projection_band
+    bands = enumerate_bands(sp)
+    assert not all(b.directed for b in bands)
+    for band in bands:
+        assert is_projection_band(sp, band.carrier).band == band
+
+
+def piece_spaces():
+    rng = random.Random(30513)
+    return [
+        four_ray(),
+        simplex(5),
+        moment_cone(range(-2, 4), 3),
+        moment_cone(range(-3, 4), 4),
+        direct_sum(four_ray(), simplex(2)),
+        direct_sum(four_ray(), pentagon(), scramble=random_unimodular(rng, 6)),
+    ] + [random_polygon_space(rng, m) for m in (4, 5, 6, 7)]
+
+
+def test_incremental_pieces_span_the_flat_kernels():
+    for sp in piece_spaces():
+        full = frozenset(range(1, sp.m + 1))
+        for C in sp.components:
+            pieces, _ = _flats(sp, C, DEFAULT_ENUMERATION_CAP, 0)
+            for L, piece in pieces.items():
+                K = kernel_of_rows(sp, full - C | L)
+                assert len(piece) == K.dim, (sp.name, L)
+                assert canonical_subspace_basis(piece, sp.dim) == K.basis, (sp.name, L)
+
+
+def test_band_layer_elimination_counts(monkeypatch):
+    """Eliminations (`linalg._echelon` calls) per band-layer call, pinned.
+
+    Each count is taken on a fresh space whose `components` are already
+    cached, so it measures the call alone; a change that adds eliminations
+    shows here as a changed count.  The atom-band count is summed over the
+    space's atoms.
+    """
+    calls = [0]
+    echelon = linalg._echelon
+
+    def counting(M):
+        calls[0] += 1
+        return echelon(M)
+
+    monkeypatch.setattr(linalg, "_echelon", counting)
+
+    def count(make, probe):
+        sp = make()
+        sp.components
+        calls[0] = 0
+        probe(sp)
+        return calls[0]
+
+    probes = {
+        "enumerate_bands": enumerate_bands,
+        "enumerate_order_projections": enumerate_order_projections,
+        "atom bands": lambda sp: [is_projection_band(sp, band_of(sp, a)) for a in sp.generators],
+    }
+    spaces = {
+        "four-ray": four_ray,
+        "simplex:5": lambda: simplex(5),
+        "four-ray^3": lambda: direct_sum(four_ray(), four_ray(), four_ray()),
+    }
+    got = {(s, p): count(make, probe) for s, make in spaces.items() for p, probe in probes.items()}
+    assert got == {
+        ("four-ray", "enumerate_bands"): 12,
+        ("four-ray", "enumerate_order_projections"): 1,
+        ("four-ray", "atom bands"): 36,
+        ("simplex:5", "enumerate_bands"): 46,
+        ("simplex:5", "enumerate_order_projections"): 41,
+        ("simplex:5", "atom bands"): 35,
+        ("four-ray^3", "enumerate_bands"): 532,
+        ("four-ray^3", "enumerate_order_projections"): 13,
+        ("four-ray^3", "atom bands"): 108,
+    }

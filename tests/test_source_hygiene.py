@@ -128,14 +128,24 @@ def test_rational_steps_are_detected():
 
 
 def test_elimination_kernel_stays_on_integers():
-    # The pivot, the simplex loop, the cone test and the double description
-    # loop run on integer rows; only their callers build Fractions.
-    kernel = (("linalg", "_pivot"), ("lp", "_simplex"), ("cones", "in_cone"), ("cones", "_cut"))
+    # The pivot, the simplex loop, the cone test, the double description
+    # loop and the flat pass with its pieces run on integer rows; only their
+    # callers build Fractions.
+    kernel = (
+        ("linalg", "_pivot"),
+        ("lp", "_simplex"),
+        ("cones", "in_cone"),
+        ("cones", "_cut"),
+        ("bands", "_flats"),
+        ("bands", "_cut_piece"),
+    )
     assert {f"{m}.{f}": rational_steps(function(m, f)) for m, f in kernel} == {
         "linalg._pivot": [],
         "lp._simplex": [],
         "cones.in_cone": [],
         "cones._cut": [],
+        "bands._flats": [],
+        "bands._cut_piece": [],
     }
 
 
