@@ -55,7 +55,6 @@ from .bands import (
 )
 from .cones import (
     OrderedSpace,
-    archimedean_certificate,
     build_space,
     embed,
     in_cone,
@@ -98,7 +97,6 @@ __all__ = [
     "embed",
     "upper_bound_polyhedron",
     "sup_in_X",
-    "archimedean_certificate",
     # cover diagnostics
     "cover_modulus",
     "modulus_dominates",
@@ -168,7 +166,6 @@ __all__ = [
     "seq_nonpervasive_witness",
     "seq_B_complement_witness",
     "seq_to_json",
-    "seq_from_json",
     "Some",
     "ProvedNone",
     "NonDirected",
@@ -222,7 +219,6 @@ _LAZY = {
         "seq_nonpervasive_witness",
         "seq_B_complement_witness",
         "seq_to_json",
-        "seq_from_json",
         "Some",
         "ProvedNone",
         "NonDirected",

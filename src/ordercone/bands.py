@@ -113,7 +113,7 @@ def vanish_set(space: OrderedSpace, D: Subspace) -> frozenset[int]:
     return frozenset(range(1, space.m + 1)) - union_support(space, D.basis)
 
 
-def _as_vectors(space: OrderedSpace, M) -> tuple[Vec, ...]:
+def _as_vectors(M) -> tuple[Vec, ...]:
     if isinstance(M, Band):
         return M.carrier.basis
     if isinstance(M, Subspace):
@@ -123,7 +123,7 @@ def _as_vectors(space: OrderedSpace, M) -> tuple[Vec, ...]:
 
 def _complement(space: OrderedSpace, M) -> tuple[frozenset[int], Subspace]:
     """(J, ker F_J) for J the rows supporting M's images: the carrier of M^d."""
-    J = union_support(space, _as_vectors(space, M))
+    J = union_support(space, _as_vectors(M))
     return J, kernel_of_rows(space, J)
 
 
@@ -342,7 +342,7 @@ def extend_band(space: OrderedSpace, B) -> frozenset[int]:
     The extension of a band B is i(B)^dd computed in Q^m, the coordinate band
     supported exactly where some element of B has a nonzero image.
     """
-    return union_support(space, _as_vectors(space, B))
+    return union_support(space, _as_vectors(B))
 
 
 def _is_separator(space: OrderedSpace, L: frozenset[int]) -> bool:

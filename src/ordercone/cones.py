@@ -17,7 +17,6 @@ is built only for a value that is handed back.  Double description
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -319,15 +318,3 @@ def sup_in_X(space: OrderedSpace, M) -> Vec | None:
     """
     return solve_linear(space.F, upper_bound_polyhedron(space, M).b)
 
-
-def archimedean_certificate(space: OrderedSpace, x: Vec, y: Vec) -> Fraction | None:
-    """Threshold witnessing the Archimedean property, or None when x <= 0.
-
-    If some facet functional is strictly positive on x, returns B such that
-    n*x <= y fails for every integer n > B; when x <= 0 no such obstruction
-    exists and the scaling comparison never terminates the order.
-    """
-    Sx, fx = _image(space, x)
-    Sy, fy = _image(space, y)
-    bounds = [Fraction(b * Sx, a * Sy) for a, b in zip(fx, fy) if a > 0]
-    return min(bounds) if bounds else None

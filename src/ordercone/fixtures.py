@@ -43,10 +43,10 @@ def builtin_space(name: str) -> OrderedSpace:
     raise UnknownBuiltin(f"unknown builtin space {name!r}")
 
 
-def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> Mat:
-    """Random integer matrix with determinant +-1 (products of shear rows)."""
+def random_unimodular(rng: random.Random, n: int) -> Mat:
+    """Random integer matrix with determinant +-1 (a product of six shear rows)."""
     rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(6):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
@@ -61,18 +61,18 @@ def random_simplicial_space(rng: random.Random, n: int, name: str = "random-simp
     return build_space(n, generators=gens, name=name)
 
 
-def random_polygon_space(rng: random.Random, m: int, name: str = "random-polygon") -> OrderedSpace:
+def random_polygon_space(rng: random.Random, m: int) -> OrderedSpace:
     """Cone in Q^3 over a convex m-gon (parabola points are in convex position)."""
     ks = rng.sample(range(-8, 9), m)
     ks.sort()
     gens = [vec([k, k * k, 1]) for k in ks]
     U = random_unimodular(rng, 3)
-    return build_space(3, generators=[mat_vec(U, g) for g in gens], name=name)
+    return build_space(3, generators=[mat_vec(U, g) for g in gens], name="random-polygon")
 
 
-def random_space(rng: random.Random, simplicial_only: bool = False) -> OrderedSpace:
+def random_space(rng: random.Random) -> OrderedSpace:
     """A small random space: simplicial in dim 2..4 or a polygonal cone in dim 3."""
-    if simplicial_only or rng.random() < 0.5:
+    if rng.random() < 0.5:
         return random_simplicial_space(rng, rng.randint(2, 4))
     return random_polygon_space(rng, rng.randint(4, 6))
 

@@ -156,7 +156,7 @@ def _pivot(T: list[list[int]], r: int, c: int) -> None:
     clears column c, divided by its gcd.  Both are positive multiples of what
     rational elimination gives, so zero patterns, signs and ratios within a
     row are those of the rational step.  Every exact elimination in the
-    package, `rref` and the simplex tableau, is a sequence of these steps.
+    package, `_echelon` and the simplex tableau, is a sequence of these steps.
     """
     row = T[r]
     p = row[c]
@@ -200,14 +200,6 @@ def _echelon(M) -> tuple[list[list[int]], list[int]]:
 def _over(row: list[int], p: int) -> Vec:
     """The rational row row / p."""
     return tuple([ZERO if not e else ONE if e == p else Fraction(e, p) for e in row])
-
-
-def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows, pivots = _echelon(M)
-    R = [_over(row, row[c]) for row, c in zip(rows, pivots)]
-    R += [(ZERO,) * len(row) for row in rows[len(pivots):]]
-    return tuple(R), tuple(pivots)
 
 
 def rank(M: Mat) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CertificateError, NotInC, NotMember, ParseError
 from .linalg import as_fraction
@@ -125,31 +126,13 @@ def seq_add(x: SeqElement, y: SeqElement) -> SeqElement:
     return _pointwise(x, y, lambda a, b: a + b)
 
 
-def seq_sub(x: SeqElement, y: SeqElement) -> SeqElement:
-    return _pointwise(x, y, lambda a, b: a - b)
-
-
-def seq_scale(c, x: SeqElement) -> SeqElement:
-    c = _seq_value(c)
-    return seq(
-        {k: c * v for k, v in x.entries},
-        tail_start=x.tail_start,
-        tail_value=c * x.tail_value,
-    )
-
-
 def seq_pointwise_max(x: SeqElement, y: SeqElement) -> SeqElement:
     return _pointwise(x, y, max)
 
 
 def seq_leq(x: SeqElement, y: SeqElement) -> bool:
-    """Pointwise order: x(k) <= y(k) everywhere."""
-    if x.tail_value > y.tail_value:
-        return False
-    ts = max(x.tail_start, y.tail_start)
-    indices = {k for k, _ in x.entries} | {k for k, _ in y.entries}
-    indices.update(range(min(x.tail_start, y.tail_start), ts))
-    return all(x.value_at(k) <= y.value_at(k) for k in indices)
+    """Pointwise order: x(k) <= y(k) everywhere, i.e. max(x, y) = y (seq() is canonical)."""
+    return seq_pointwise_max(x, y) == y
 
 
 def seq_in_subspace(x: SeqElement, which: str) -> bool:
@@ -196,15 +179,10 @@ def seq_decompose_BC(x: SeqElement) -> tuple[SeqElement, SeqElement]:
 
 
 def seq_is_disjoint(x: SeqElement, y: SeqElement) -> bool:
-    """Whether no index carries a nonzero value in both sequences."""
+    """Whether no index carries a nonzero value in both sequences: x * y = 0 pointwise."""
     _require_member(x)
     _require_member(y)
-    if x.tail_value != 0 and y.tail_value != 0:
-        return False
-    ts = max(x.tail_start, y.tail_start)
-    indices = {k for k, _ in x.entries} | {k for k, _ in y.entries}
-    indices.update(range(min(x.tail_start, y.tail_start), ts))
-    return all(x.value_at(k) == 0 or y.value_at(k) == 0 for k in indices)
+    return _pointwise(x, y, mul) == SEQ_ZERO
 
 
 # --- witnesses ---------------------------------------------------------------
@@ -330,24 +308,3 @@ def seq_to_json(x: SeqElement) -> dict:
         "tailValue": str(x.tail_value),
     }
 
-
-def seq_from_json(data) -> SeqElement:
-    if not isinstance(data, dict):
-        raise ParseError("sequence JSON must be an object")
-    extra = set(data) - {"entries", "tailStart", "tailValue"}
-    if extra:
-        raise ParseError(f"unknown sequence fields {sorted(extra)}")
-    raw = data.get("entries", {})
-    if not isinstance(raw, dict):
-        raise ParseError("sequence entries must be an object")
-    entries = {}
-    for key, value in raw.items():
-        try:
-            k = int(key)
-        except (TypeError, ValueError):
-            raise ParseError(f"bad sequence index {key!r}") from None
-        entries[k] = _seq_value(value)
-    tail_start = data.get("tailStart", 0)
-    if not isinstance(tail_start, int) or isinstance(tail_start, bool):
-        raise ParseError("tailStart must be an integer")
-    return seq(entries, tail_start=tail_start, tail_value=data.get("tailValue", 0))

@@ -8,7 +8,6 @@ from itertools import combinations
 import pytest
 
 from ordercone.cones import (
-    archimedean_certificate,
     build_space,
     embed,
     extreme_rays,
@@ -211,16 +210,6 @@ def test_polygon_cone_counts():
     assert len(S.generators) == 5 and S.m == 5 and S.dim == 3
 
 
-def test_archimedean_certificate():
-    S = four_ray()
-    b = archimedean_certificate(S, V1, vec([0, 0, 10]))
-    assert b is not None
-    n = int(b) + 1
-    assert not leq(S, vec([n * e for e in V1]), vec([0, 0, 10]))
-    assert leq(S, vec([(n - 1) * e for e in V1]), vec([0, 0, 10])) or b < n - 1
-    assert archimedean_certificate(S, vec([-e for e in V1]), vec([0, 0, 1])) is None
-
-
 def test_row_basis_is_computed_once_and_left_out_of_equality():
     rng = random.Random(4410)
     for space in [four_ray(), simplex(3)] + [random_space(rng) for _ in range(10)]:
@@ -289,16 +278,6 @@ def fraction_leq(space, x, y):
     return all(dot(f, d) >= 0 for f in space.F)
 
 
-def fraction_archimedean_certificate(space, x, y):
-    worst = None
-    for f in space.F:
-        fx = dot(f, x)
-        if fx > 0:
-            bound = dot(f, y) / fx
-            worst = bound if worst is None else min(worst, bound)
-    return worst
-
-
 def integer_route_spaces():
     """Every kind of space the integer routes see, facet rows scaled by non-integers too."""
     rng = random.Random(14071)
@@ -331,8 +310,6 @@ def test_integer_facet_routes_match_the_fraction_routes():
                 assert repr(embed(sp, u)) == repr(fraction_embed(sp, u)), sp.name
                 assert repr(in_cone(sp, u)) == repr(fraction_in_cone(sp, u)), sp.name
                 assert repr(leq(sp, u, v)) == repr(fraction_leq(sp, u, v)), sp.name
-                got = archimedean_certificate(sp, u, v)
-                assert repr(got) == repr(fraction_archimedean_certificate(sp, u, v)), sp.name
         assert embed(sp, (0,) * sp.dim) == (Fraction(0),) * sp.m
         with pytest.raises(ValueError):
             in_cone(sp, (1,) * (sp.dim + 1))

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from ordercone.linalg import (
+    ZERO,
+    _echelon,
+    _over,
     as_fraction,
     canonical_subspace_basis,
     dot,
@@ -17,7 +20,6 @@ from ordercone.linalg import (
     nullspace,
     primitive,
     rank,
-    rref,
     solve_linear,
     support,
     transpose,
@@ -168,7 +170,16 @@ def test_misc_helpers():
     assert rank(F4) == 3
 
 
-# --- the Fraction Gauss-Jordan kernel that the integer one replaced, as its oracle
+# --- the integer kernel `_echelon`, read as a rational RREF, against the
+# Fraction Gauss-Jordan kernel that it replaced, kept as its oracle
+
+
+def rref(M):
+    """The RREF of M from `_echelon`'s integer rows, each pivot row over its pivot, and the pivot columns."""
+    rows, pivots = _echelon(M)
+    R = [_over(row, row[c]) for row, c in zip(rows, pivots)]
+    R += [(ZERO,) * len(row) for row in rows[len(pivots):]]
+    return tuple(R), tuple(pivots)
 
 
 def oracle_rref(M):

@@ -1,4 +1,4 @@
-"""Checks on the package source: no dead imports or globals, no bare asserts, an integer kernel, a light import."""
+"""Checks on the package source: no dead code or exports, no bare asserts, an integer kernel, a light import."""
 
 import ast
 import os
@@ -18,13 +18,24 @@ def tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def loaded_names(module: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def exported_names(module: ast.Module) -> list[str]:
+    """The names the module's __all__ lists, in order."""
+    return [
+        elt.value
+        for node in ast.walk(module)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+        if isinstance(elt, ast.Constant)
+    ]
+
+
 def read_names(module: ast.Module) -> set[str]:
     """Names the module loads, plus the names its __all__ lists."""
-    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in ast.walk(module):
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return read
+    return loaded_names(module) | set(exported_names(module))
 
 
 def unread_imports(module: ast.Module) -> list[str]:
@@ -42,7 +53,7 @@ def unread_imports(module: ast.Module) -> list[str]:
 
 
 def unread_globals(modules: dict[str, ast.Module]) -> list[str]:
-    """Module-level names assigned in one module and read in none of them.
+    """Module-level names bound in one module, by assignment, `def` or `class`, and read in none of them.
 
     A name counts as read anywhere in the package; names in __all__ count as
     read, and dunder names are exempt.
@@ -51,12 +62,26 @@ def unread_globals(modules: dict[str, ast.Module]) -> list[str]:
     found = []
     for mod, module in modules.items():
         for node in module.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name) and name.id not in read and not name.id.startswith("__"):
-                            found.append(f"{mod}.{name.id} (line {node.lineno})")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                continue
+            unread = [name for name in names if name not in read and not name.startswith("__")]
+            found += [f"{mod}.{name} (line {node.lineno})" for name in unread]
     return found
+
+
+def exports_read_only_in_init(modules: dict[str, ast.Module]) -> list[str]:
+    """Names in the package's __all__ that no module other than __init__ loads.
+
+    Listing such a name in __all__ is its only read: it is public API that
+    nothing in the package reaches.  No name is exempt.
+    """
+    read = set().union(*[loaded_names(module) for mod, module in modules.items() if mod != "__init__"])
+    return [name for name in exported_names(modules["__init__"]) if name not in read]
 
 
 def test_unread_imports_are_detected():
@@ -71,14 +96,30 @@ def test_no_module_imports_a_name_it_never_reads():
 
 def test_unread_globals_are_detected():
     modules = {
-        "a": ast.parse("X = 1\nY, Z = 2, 3\nW: int = 4\n__all__ = ['Z']\n"),
-        "b": ast.parse("from a import X\nprint(X)\n"),
+        "a": ast.parse(
+            "X = 1\nY, Z = 2, 3\nW: int = 4\n__all__ = ['Z']\n"
+            "def f():\n    return g()\ndef g():\n    pass\nclass K:\n    pass\nclass L:\n    pass\n"
+        ),
+        "b": ast.parse("from a import X, L\nprint(X, L)\n"),
     }
-    assert unread_globals(modules) == ["a.Y (line 2)", "a.W (line 3)"]
+    assert unread_globals(modules) == ["a.Y (line 2)", "a.W (line 3)", "a.f (line 5)", "a.K (line 9)"]
 
 
 def test_no_module_level_name_goes_unread():
     assert unread_globals({p.stem: tree(p) for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_exports_read_only_in_init_are_detected():
+    modules = {
+        "__init__": ast.parse("from .a import f, g, h\n__all__ = ['f', 'g', 'h']\nprint(g)\n"),
+        "a": ast.parse("def f():\n    pass\ndef g():\n    pass\ndef h():\n    return f()\n"),
+        "b": ast.parse("from .a import h\nh()\n"),
+    }
+    assert exports_read_only_in_init(modules) == ["g"]
+
+
+def test_every_export_is_read_outside_init():
+    assert exports_read_only_in_init({p.stem: tree(p) for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
 def test_no_bare_assert_in_the_certified_layers():
