@@ -25,6 +25,7 @@ from .bands import (
     _carrier,
     _is_separator,
     _kernel_is_directed,
+    _kernel_rows,
     band_of,
     disjoint_complement,
     is_band,
@@ -55,7 +56,6 @@ from .linalg import (
     dot,
     is_zero_vec,
     mat_vec,
-    primitive,
     rank,
     solve_linear,
     support,
@@ -80,9 +80,22 @@ def atoms(space: OrderedSpace) -> Mat:
 
 
 def is_atom(space: OrderedSpace, x: Vec) -> bool:
-    """Whether x is a positive multiple of a generator, i.e. x >= 0 and
-    primitive(x) is one of them (the zero vector is its own primitive)."""
-    return in_cone(space, x) and primitive(x) in space.generators
+    """Whether x is a positive multiple of a generator.
+
+    Face rule: x is an atom iff F x >= 0, F x != 0 and supp(F x) is one of
+    `space.atom_supports`, all read off one image.  The minimal face of g in
+    K is {y in K : f_j(y) = 0 wherever f_j(g) = 0}.  If x >= 0 and
+    supp(F x) = supp(F g) for a generator g, x lies in that face, which is
+    the ray of g since g is extreme, and x != 0, so x is a positive multiple
+    of g.  Conversely a positive multiple of g has the support of g.
+    Distinct atoms span distinct rays, so they have distinct supports.  The
+    zero vector has F x = 0 and stays a non-atom.
+    """
+    image = _image(space, x)[1]
+    if any(e < 0 for e in image):
+        return False
+    face = support(image)
+    return bool(face) and face in space.atom_supports
 
 
 def is_discrete(space: OrderedSpace, x: Vec) -> bool:
@@ -346,7 +359,7 @@ def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERAT
     if len(comps) > cap:
         raise CapExceeded(f"order projections over 2^{len(comps)} unions of components exceed 2^{cap}")
     full = frozenset(range(1, space.m + 1))
-    pieces = [kernel_of_rows(space, full - C).basis for C in comps]
+    pieces = [_kernel_rows(space, full - C) for C in comps]
     found = []
     for mask in range(1 << len(comps)):
         L = frozenset().union(*[C for t, C in enumerate(comps) if mask >> t & 1])

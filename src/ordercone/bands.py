@@ -22,11 +22,11 @@ from .linalg import (
     ZERO,
     _canonical_rows,
     _fractions,
-    _ints,
+    _nullspace,
+    _rank,
     canonical_subspace_basis,
     in_span,
     mat,
-    nullspace,
     rank,
     support,
     transpose,
@@ -102,10 +102,19 @@ def union_support(space: OrderedSpace, vectors) -> frozenset[int]:
 
 def kernel_of_rows(space: OrderedSpace, J) -> Subspace:
     """{x : f_j(x) = 0 for all j in J} as a canonical subspace."""
-    J = sorted(set(J))
+    J = frozenset(J)
     if not J:
         return full_space(space.dim)
-    return Subspace(space.dim, nullspace(tuple(space.F[j - 1] for j in J)))
+    return Subspace(space.dim, tuple(map(_fractions, _kernel_rows(space, J))))
+
+
+def _kernel_rows(space: OrderedSpace, J) -> list[list[int]]:
+    """The canonical basis of ker F_J as primitive int rows, from the int facet rows."""
+    J = sorted(set(J))
+    if not J:
+        return [[int(i == j) for j in range(space.dim)] for i in range(space.dim)]
+    rows = space.int_facets[1]
+    return _nullspace([rows[j - 1] for j in J], space.dim)
 
 
 def vanish_set(space: OrderedSpace, D: Subspace) -> frozenset[int]:
@@ -158,7 +167,7 @@ def _kernel_is_directed(space: OrderedSpace, J, dim: int) -> bool:
     iff those atoms have rank dim.
     """
     inside = tuple(g for g, s in zip(space.int_generators, space.atom_supports) if not s & J)
-    return rank(inside) == dim
+    return _rank(inside) == dim
 
 
 def positive_generators(space: OrderedSpace, D: Subspace) -> tuple[Vec, ...]:
@@ -210,7 +219,7 @@ def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
     """
     rest = frozenset(range(1, space.m + 1)) - C
     rows = [(j, space.int_facets[1][j - 1]) for j in sorted(C)]  # positive scalings keep the classes
-    root = [_ints(b)[1] for b in kernel_of_rows(space, rest).basis]
+    root = _kernel_rows(space, rest)
     pieces: dict[frozenset[int], list[list[int]]] = {}
     covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
     todo = [(frozenset(), 1, root)]  # facet rows are nonzero, so no row vanishes on the summand

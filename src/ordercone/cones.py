@@ -6,19 +6,22 @@ facet matrix doubles as the bipositive embedding into the coordinatewise
 lattice Q^m, which is how every order-theoretic question downstream becomes
 finite arithmetic.
 
-That arithmetic runs on Python ints.  Each space caches its facet matrix as
-a common denominator D and the int rows D F (`OrderedSpace.int_facets`); a
+That arithmetic runs on Python ints.  `build_space` converts each input row
+once to a primitive int row; its ranks, its double descriptions (`_rays`,
+which carries every ray as a primitive int row), its set comparisons and
+its cross-check of the two representations run on those, and Fractions are
+built only for the space's fields.  Each space caches its facet matrix as a
+common denominator D and the int rows D F (`OrderedSpace.int_facets`); a
 vector x is scaled once to ints d x, so that D d F x is a row of int sums
 (`_image`).  Signs and supports are read off those sums, and a `Fraction`
-is built only for a value that is handed back.  Double description
-(`extreme_rays`) likewise carries its rays as primitive int rows.
+is built only for a value that is handed back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import NotGenerating, NotPointed, ParseError
@@ -26,16 +29,15 @@ from .linalg import (
     Mat,
     Vec,
     _coprime,
+    _echelon,
     _fractions,
     _int_rows,
     _ints,
     _over,
+    _rank,
     independent_subset,
     invert,
-    is_zero_vec,
     mat_vec,
-    primitive,
-    rank,
     solve_linear,
     support,
     transpose,
@@ -49,31 +51,50 @@ from .lp import Polyhedron
 # larger is refused before a dim-sized object is built.
 MAX_DIM = 256
 
+# The most generator rows, and the most facet rows, a space may be given,
+# counted as given.  Double description of a (t, t^2, 1) polygon cone grows
+# about 4x per doubling of the rows; built from 1024 generators it took
+# 1.5 s (640: 0.57 s) on a 2-core Xeon VM under Python 3.11.
+MAX_ROWS = 1024
+
 
 def extreme_rays(A: Mat) -> tuple[Vec, ...]:
     """Extreme rays of {x : A x >= 0}, assuming the cone is pointed.
 
-    Double description: seed with the first n independent rows (a simplicial
-    cone whose rays are the columns of the inverse), then cut with the
-    remaining rows in input order.  Adjacency of two rays is decided by the
-    rank of their common tight rows among the constraints processed so far.
-    Requires rank(A) = n; the output is sorted lexicographically.
+    Requires rank(A) = n; the output is sorted lexicographically.  The rows
+    of A are scaled once to coprime ints and handed to `_rays`; the rays come
+    back as primitive Fraction rows, the same as `primitive` gives.
+    """
+    return tuple(_fractions(r) for r in _rays([_coprime(a) for a in A]))
 
-    The cuts run on ints (`_cut`): the rows of A scaled to coprime ints, and
-    every ray a primitive int row.  The rays come back as primitive Fraction
-    rows, the same as `primitive` gives.
+
+def _rays(A) -> list[tuple[int, ...]]:
+    """Extreme rays of {x : A x >= 0} for coprime int rows A, as sorted primitive int tuples.
+
+    Double description: seed with the first n independent rows, the pivot
+    columns of the transpose (a simplicial cone whose rays are the columns
+    of the inverse), then cut with the remaining rows in input order
+    (`_cut`).  The inverse comes from the int echelon form [P | M] of
+    [A_B | I]: row k is p_k [e_k | row k of A_B^{-1}] with pivot p_k > 0, so
+    column j of the inverse times the lcm L of the pivots is the int column
+    (M_kj L / p_k)_k, made primitive by its gcd.
     """
     n = len(A[0])
-    seed = independent_subset(A)
+    seed = _echelon(transpose(A))[1]
     if len(seed) < n:
         raise ValueError("extreme_rays needs a pointed cone (rank deficient input)")
-    Binv = invert(tuple(A[i] for i in seed))
-    rays = _cut([_coprime(a) for a in A], seed, [_coprime(col) for col in transpose(Binv)])
-    return tuple(_fractions(r) for r in sorted(set(rays)))
+    rows = _echelon([[*A[i], *[int(j == k) for j in range(n)]] for k, i in enumerate(seed)])[0]
+    scale = lcm(*[row[k] for k, row in enumerate(rows)])
+    rays = []
+    for j in range(n, 2 * n):
+        col = [row[j] * (scale // row[k]) for k, row in enumerate(rows)]
+        g = gcd(*col)
+        rays.append([e // g for e in col])
+    return sorted(set(_cut(A, seed, rays)))
 
 
-def _cut(A: list[list[int]], seed: tuple[int, ...], rays: list[list[int]]) -> list[tuple[int, ...]]:
-    """The double description loop of `extreme_rays`, on int rows.
+def _cut(A, seed: list[int], rays: list[list[int]]) -> list[tuple[int, ...]]:
+    """The double description loop of `_rays`, on int rows.
 
     `rays` are the seed cone's rays as primitive int rows.  Each ray carries
     its zero set among the rows processed so far, as a bit mask.  A row a
@@ -92,7 +113,7 @@ def _cut(A: list[list[int]], seed: tuple[int, ...], rays: list[list[int]]) -> li
         common = z1 & z2
         if common.bit_count() < n - 2:
             return False
-        return rank([A[i] for i in range(len(A)) if common >> i & 1]) == n - 2
+        return _rank([A[i] for i in range(len(A)) if common >> i & 1]) == n - 2
 
     for idx in (i for i in range(len(A)) if i not in seed_set):
         a, bit = A[idx], 1 << idx
@@ -124,7 +145,8 @@ class OrderedSpace:
     holds supp(F g) for each generator g, in generator order: which atoms lie
     in which face.  It is derived from the two fields before it, so it takes
     no part in equality or repr; nor do the cached `int_facets`, `row_basis`,
-    `int_row_inverse`, `int_generators` and `components`.
+    `int_row_inverse`, `int_generators` and `components`.  `build_space`
+    fills `int_facets` and `int_generators` from the int rows it built.
     """
 
     name: str
@@ -190,22 +212,29 @@ class OrderedSpace:
         return tuple(sorted(map(frozenset, comps), key=min))
 
 
-def _clean_rows(rows, dim: int, what: str) -> Mat:
-    out: list[Vec] = []
+def _clean_rows(rows, dim: int, what: str) -> list[tuple[int, ...]]:
+    """The rows as given, each made a primitive int tuple, duplicates dropped.
+
+    Rows are counted as given, before duplicates are dropped, and the row
+    after the first MAX_ROWS is refused before any elimination starts.
+    """
+    out: list[tuple[int, ...]] = []
     seen = set()
-    for r in rows:
+    for k, r in enumerate(rows):
+        if k == MAX_ROWS:
+            raise ParseError(f"more than {MAX_ROWS} {what} rows")
         if len(r) != dim:
             raise ParseError(f"{what} has wrong dimension: expected {dim}, got {len(r)}")
         try:
-            p = primitive(vec(r))
+            p = tuple(_coprime(vec(r)))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"bad entry in {what}: {exc}") from None
-        if is_zero_vec(p):
+        if not any(p):
             raise ParseError(f"zero vector given as a {what}")
         if p not in seen:
             seen.add(p)
             out.append(p)
-    return tuple(out)
+    return out
 
 
 def build_space(dim: int, generators=None, facets=None, name: str = "space") -> OrderedSpace:
@@ -213,7 +242,10 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
 
     The missing representation is computed by double description.  Computed
     rows come out in lexicographic order; rows the caller supplied keep the
-    caller's order whenever they already equal the canonical set.
+    caller's order whenever they already equal the canonical set.  Each
+    input row is converted once to a primitive int row, all the work runs on
+    those (`_representations`), and Fractions are built only for the
+    space's fields.
     """
     if not 1 <= dim <= MAX_DIM:
         raise ParseError(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
@@ -222,47 +254,62 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
 
     gens = _clean_rows(generators, dim, "generator") if generators is not None else None
     face = _clean_rows(facets, dim, "facet") if facets is not None else None
+    gens, face = _representations(dim, gens, face)
 
-    if gens is not None:
-        if rank(gens) < dim:
-            raise NotGenerating(f"generators span a rank-{rank(gens)} subspace of Q^{dim}")
-        dual = extreme_rays(gens)  # canonical irredundant facets of pos(gens)
-        if rank(dual) < dim:
-            raise NotPointed("the generated cone contains a line")
-        canon_gens = extreme_rays(dual)
-        gens = gens if set(gens) == set(canon_gens) else canon_gens
-        if face is not None:
-            ok = rank(face) == dim
-            if ok:
-                try:
-                    # No rays means the facets cut out only the origin.
-                    rays = extreme_rays(face)
-                    ok = bool(rays) and set(extreme_rays(rays)) == set(dual)
-                except ValueError:
-                    # the facet system cuts out a degenerate cone
-                    ok = False
-            if not ok:
-                raise ParseError("facets do not match the cone generated by the generators")
-            face = face if set(face) == set(dual) else dual
-        else:
-            face = dual
-    else:
-        if rank(face) < dim:
-            raise NotPointed(f"facets have rank {rank(face)}; the cone contains a line")
-        canon_gens = extreme_rays(face)
-        if rank(canon_gens) < dim:
-            raise NotGenerating("the facet cone is not full dimensional")
-        irred = extreme_rays(canon_gens)
-        face = face if set(face) == set(irred) else irred
-        gens = canon_gens
-
-    rows = _int_rows(face)[1]
-    images = [[sum(map(mul, f, _ints(g)[1])) for f in rows] for g in gens]
+    images = [[sum(map(mul, f, g)) for f in face] for g in gens]
     if any(e < 0 for image in images for e in image):  # cross-check both representations agree
         raise ParseError("internal representation mismatch")
 
     supports = tuple(support(image) for image in images)
-    return OrderedSpace(name=name, dim=dim, generators=gens, F=face, atom_supports=supports)
+    space = OrderedSpace(
+        name=name,
+        dim=dim,
+        generators=tuple(map(_fractions, gens)),
+        F=tuple(map(_fractions, face)),
+        atom_supports=supports,
+    )
+    # The rows are primitive, so F is integral (D = 1) and both caches are the rows themselves.
+    vars(space).update(int_facets=(1, tuple(face)), int_generators=tuple(gens))
+    return space
+
+
+def _representations(dim: int, gens, face) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The generators and the irredundant facets of the cone, as primitive int rows.
+
+    Either input may be None, and the other is computed by double
+    description; given both, each is checked against the other's dual.
+    """
+    if gens is not None:
+        r = _rank(gens)
+        if r < dim:
+            raise NotGenerating(f"generators span a rank-{r} subspace of Q^{dim}")
+        dual = _rays(gens)  # canonical irredundant facets of pos(gens)
+        if _rank(dual) < dim:
+            raise NotPointed("the generated cone contains a line")
+        canon_gens = _rays(dual)
+        gens = gens if set(gens) == set(canon_gens) else canon_gens
+        if face is None:
+            return gens, dual
+        ok = _rank(face) == dim
+        if ok:
+            try:
+                # No rays means the facets cut out only the origin.
+                rays = _rays(face)
+                ok = bool(rays) and set(_rays(rays)) == set(dual)
+            except ValueError:
+                # the facet system cuts out a degenerate cone
+                ok = False
+        if not ok:
+            raise ParseError("facets do not match the cone generated by the generators")
+        return gens, face if set(face) == set(dual) else dual
+    r = _rank(face)
+    if r < dim:
+        raise NotPointed(f"facets have rank {r}; the cone contains a line")
+    canon_gens = _rays(face)
+    if _rank(canon_gens) < dim:
+        raise NotGenerating("the facet cone is not full dimensional")
+    irred = _rays(canon_gens)
+    return canon_gens, face if set(face) == set(irred) else irred
 
 
 def _sums(space: OrderedSpace, xi: list[int]) -> list[int]:

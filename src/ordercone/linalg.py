@@ -3,7 +3,10 @@
 Vectors are tuples of Fraction, matrices are tuples of row vectors.
 Everything is exact; nothing here touches floats.  Elimination runs on rows
 scaled to Python ints, one fraction-free pivot at a time (`_pivot`), and
-divides by the pivot entries only when it hands back Fractions.
+divides by the pivot entries only when it hands back Fractions.  The public
+functions take and return Fractions: each scales its rows once to coprime
+ints (`_coprime`) and calls the integer kernel.  Callers that already hold
+int rows call the integer forms `_echelon`, `_rank` and `_nullspace`.
 """
 
 from __future__ import annotations
@@ -172,13 +175,14 @@ def _pivot(T: list[list[int]], r: int, c: int) -> None:
 
 
 def _echelon(M) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced row echelon form of M and its pivot columns.
+    """Integer reduced row echelon form of the int rows M and its pivot columns.
 
-    Each row is scaled to coprime ints and reduced by `_pivot`.  The pivot
-    rows come first, each a positive multiple of the rational RREF row with
-    coprime entries, so it is primitive(R[i]) for the RREF R; the rest are 0.
+    The rows are copied, so cached tuples may be passed, and reduced by
+    `_pivot`.  The pivot rows come first, each a positive multiple of the
+    rational RREF row; the rest are 0.  Given coprime rows, every pivot row
+    has coprime entries, so it is primitive(R[i]) for the RREF R.
     """
-    rows = [_coprime(v) for v in M]
+    rows = [list(r) for r in M]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -203,9 +207,12 @@ def _over(row: list[int], p: int) -> Vec:
 
 
 def rank(M: Mat) -> int:
-    if not M:
-        return 0
-    return len(_echelon(M)[1])
+    return _rank([_coprime(v) for v in M])
+
+
+def _rank(rows) -> int:
+    """The rank of int rows."""
+    return len(_echelon(rows)[1]) if rows else 0
 
 
 def solve_linear(A: Mat, b: Vec) -> Vec | None:
@@ -216,8 +223,7 @@ def solve_linear(A: Mat, b: Vec) -> Vec | None:
     if not A:
         raise ValueError("solve_linear needs a nonempty matrix")
     n = len(A[0])
-    aug = tuple(row + (bi,) for row, bi in zip(A, b, strict=True))
-    rows, pivots = _echelon(aug)
+    rows, pivots = _echelon([_coprime(row + (bi,)) for row, bi in zip(A, b, strict=True)])
     if n in pivots:
         return None  # pivot in the constant column: inconsistent
     x = [ZERO] * n
@@ -231,11 +237,20 @@ def nullspace(A: Mat) -> Mat:
     """Canonical primitive basis of {x : A x = 0} (empty tuple if trivial)."""
     if not A:
         raise ValueError("nullspace needs at least the column count; pass a nonempty matrix")
-    n = len(A[0])
-    rows, pivots = _echelon(A)
+    return tuple(_fractions(row) for row in _nullspace([_coprime(v) for v in A], len(A[0])))
+
+
+def _nullspace(rows, n: int) -> list[list[int]]:
+    """The rows of `nullspace` for int rows with n columns, as primitive int rows.
+
+    The free-variable basis of the kernel is not the canonical one (for
+    A = [[1, 1, 1]] it is (-1, 1, 0), (-1, 0, 1), against (1, 0, -1),
+    (0, 1, -1)), so its rows are eliminated once more by `_canonical_rows`.
+    """
+    rows, pivots = _echelon(rows)
     free = [c for c in range(n) if c not in pivots]
     if not free:
-        return ()
+        return []
     # x_fc = 1 and x_pc = -R[i][fc] for the RREF R, scaled by the lcm of the pivots.
     scale = lcm(*[row[c] for row, c in zip(rows, pivots)])
     basis = []
@@ -244,15 +259,15 @@ def nullspace(A: Mat) -> Mat:
         v[fc] = scale
         for row, pc in zip(rows, pivots):
             v[pc] = -row[fc] * (scale // row[pc])
-        basis.append(v)
-    return canonical_subspace_basis(basis, n)
+        g = gcd(*v)
+        basis.append([e // g for e in v])
+    return _canonical_rows(basis)
 
 
 def invert(M: Mat) -> Mat | None:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(M)
-    aug = tuple(row + tuple(ONE if j == i else ZERO for j in range(n)) for i, row in enumerate(M))
-    rows, pivots = _echelon(aug)
+    rows, pivots = _echelon([_coprime((*row, *[int(j == i) for j in range(n)])) for i, row in enumerate(M)])
     if len(pivots) < n or any(p >= n for p in pivots):
         return None
     return tuple(_over(row[n:], row[i]) for i, row in enumerate(rows))
@@ -266,14 +281,14 @@ def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:
     """
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
-    return tuple(_fractions(row) for row in _canonical_rows(vectors))
+    return tuple(_fractions(row) for row in _canonical_rows([_coprime(v) for v in vectors]))
 
 
-def _canonical_rows(vectors) -> list[list[int]]:
-    """The rows of `canonical_subspace_basis`, left as the primitive int rows they are."""
-    if not vectors:
+def _canonical_rows(rows) -> list[list[int]]:
+    """The rows of `canonical_subspace_basis` for coprime int rows, left as the primitive int rows they are."""
+    if not rows:
         return []
-    rows, pivots = _echelon(vectors)
+    rows, pivots = _echelon(rows)
     return rows[: len(pivots)]
 
 
@@ -283,7 +298,7 @@ def independent_subset(rows: Mat) -> tuple[int, ...]:
     Row i is kept iff it is not in the span of rows 0..i-1, i.e. iff column i
     of the transpose is a pivot column.
     """
-    return tuple(_echelon(transpose(rows))[1])
+    return tuple(_echelon([_coprime(col) for col in transpose(rows)])[1])
 
 
 def in_span(vectors: Mat, x: Vec, n: int) -> bool:

@@ -56,6 +56,7 @@ from .fixtures import (
 from .linalg import (
     mat,
     mat_vec,
+    nullspace,
     primitive,
     rank,
     solve_linear,
@@ -487,6 +488,10 @@ def extension_restriction() -> list[Row]:
                 bad.append(f"trial {trial}: supports not complementary")
             if restrict_band(space, J).basis != band.carrier.basis:
                 bad.append(f"trial {trial}: restriction does not invert extension")
+            # The same kernel by the Fraction route, from F itself and not its cached int rows.
+            zero_rows = tuple(space.F[j - 1] for j in sorted(full - J))
+            if zero_rows and nullspace(zero_rows) != band.carrier.basis:
+                bad.append(f"trial {trial}: restriction is not the Fraction kernel of its zero rows")
     out(
         "pervasive spaces: complementary extension supports, restrict inverts extend",
         not bad,

@@ -38,7 +38,6 @@ from ordercone.atoms import (
     rdp_split,
 )
 from ordercone.bands import (
-    Band,
     band_of,
     disjoint_complement,
     enumerate_bands,
@@ -47,7 +46,6 @@ from ordercone.bands import (
     is_disjoint,
     restrict_band,
     subspace,
-    vanish_set,
 )
 from ordercone.cones import build_space, embed, in_cone, leq
 from ordercone.cover import is_majorizing, modulus_dominates
@@ -72,6 +70,7 @@ from ordercone.fixtures import (
 from ordercone.linalg import (
     mat,
     mat_vec,
+    primitive,
     rank,
     solve_linear,
     support,
@@ -176,6 +175,27 @@ def test_is_atom_frozen():
     q2 = simplex(2)
     assert is_atom(q2, vec((2, 0)))
     assert not is_atom(q2, vec((1, 1)))
+
+
+def generator_is_atom(space, x):
+    """The generator rule that the face rule of `is_atom` replaced, kept as its oracle."""
+    return in_cone(space, x) and primitive(x) in space.generators
+
+
+def test_is_atom_face_rule_matches_the_generator_oracle():
+    rng = random.Random(17041)
+    spaces = [four_ray(), pentagon()] + [random_space(rng) for _ in range(20)]
+    for sp in spaces:
+        G = sp.generators
+        probes = [zero_vec(sp.dim)]
+        for g in G:
+            probes += [g, vscale(Fraction(5, 3), g), vscale(Fraction(-1), g), vscale(Fraction(-2, 7), g)]
+        probes += [vadd(a, b) for a, b in combinations(G, 2)]
+        probes += [random_vector(rng, sp.dim) for _ in range(20)]
+        probes += [random_positive(rng, sp, scale=1) for _ in range(10)]
+        answers = [is_atom(sp, x) for x in probes]
+        assert answers == [generator_is_atom(sp, x) for x in probes], sp.name
+        assert sum(answers) >= 2 * len(G), sp.name  # every atom and its multiple 5/3
 
 
 def test_is_discrete_frozen():

@@ -11,7 +11,6 @@ from ordercone.atoms import ProjectionReport, enumerate_order_projections, is_pr
 from ordercone.bands import (
     DEFAULT_ENUMERATION_CAP,
     Band,
-    Subspace,
     _flats,
     _kernel_is_directed,
     band_of,

@@ -1,5 +1,6 @@
 """Space construction, order queries, and suprema on the worked fixtures."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,7 +8,11 @@ from itertools import combinations
 
 import pytest
 
+from ordercone import cones, linalg
+from ordercone.cli import main
 from ordercone.cones import (
+    MAX_ROWS,
+    OrderedSpace,
     build_space,
     embed,
     extreme_rays,
@@ -16,7 +21,7 @@ from ordercone.cones import (
     sup_in_X,
     upper_bound_polyhedron,
 )
-from ordercone.errors import NotGenerating, NotPointed, ParseError
+from ordercone.errors import NotGenerating, NotPointed, OrderConeError, ParseError
 from ordercone.fixtures import (
     FOUR_RAY_FACETS,
     FOUR_RAY_GENERATORS,
@@ -33,15 +38,18 @@ from ordercone.linalg import (
     dot,
     independent_subset,
     invert,
+    is_zero_vec,
     mat,
     mat_vec,
     nullspace,
     primitive,
     rank,
     solve_linear,
+    support,
     transpose,
     vadd,
     vec,
+    vscale,
     vsub,
 )
 from ordercone.lp import Polyhedron, lp
@@ -358,3 +366,147 @@ def test_build_space_coerces_rational_strings():
     assert S.generators == (vec([1, 0]), vec([1, 2]))
     with pytest.raises(ParseError):
         build_space(2, generators=[[1, 0], [0.5, 1]])
+
+
+# The Fraction construction that the integer one replaced, kept as its
+# oracle: `_clean_rows` and `build_space` as they were, on Fraction rows,
+# with the Fraction double description above as their `extreme_rays`.
+
+
+def fraction_clean_rows(rows, dim, what):
+    out = []
+    seen = set()
+    for r in rows:
+        if len(r) != dim:
+            raise ParseError(f"{what} has wrong dimension: expected {dim}, got {len(r)}")
+        try:
+            p = primitive(vec(r))
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"bad entry in {what}: {exc}") from None
+        if is_zero_vec(p):
+            raise ParseError(f"zero vector given as a {what}")
+        if p not in seen:
+            seen.add(p)
+            out.append(p)
+    return tuple(out)
+
+
+def fraction_build_space(dim, generators=None, facets=None, name="space"):
+    gens = fraction_clean_rows(generators, dim, "generator") if generators is not None else None
+    face = fraction_clean_rows(facets, dim, "facet") if facets is not None else None
+    if gens is not None:
+        if rank(gens) < dim:
+            raise NotGenerating(f"generators span a rank-{rank(gens)} subspace of Q^{dim}")
+        dual = fraction_extreme_rays(gens)
+        if rank(dual) < dim:
+            raise NotPointed("the generated cone contains a line")
+        canon_gens = fraction_extreme_rays(dual)
+        gens = gens if set(gens) == set(canon_gens) else canon_gens
+        if face is not None:
+            ok = rank(face) == dim
+            if ok:
+                try:
+                    rays = fraction_extreme_rays(face)
+                    ok = bool(rays) and set(fraction_extreme_rays(rays)) == set(dual)
+                except ValueError:
+                    ok = False
+            if not ok:
+                raise ParseError("facets do not match the cone generated by the generators")
+            face = face if set(face) == set(dual) else dual
+        else:
+            face = dual
+    else:
+        if rank(face) < dim:
+            raise NotPointed(f"facets have rank {rank(face)}; the cone contains a line")
+        canon_gens = fraction_extreme_rays(face)
+        if rank(canon_gens) < dim:
+            raise NotGenerating("the facet cone is not full dimensional")
+        irred = fraction_extreme_rays(canon_gens)
+        face = face if set(face) == set(irred) else irred
+        gens = canon_gens
+    images = [mat_vec(face, g) for g in gens]
+    if any(e < 0 for image in images for e in image):
+        raise ParseError("internal representation mismatch")
+    supports = tuple(support(image) for image in images)
+    return OrderedSpace(name=name, dim=dim, generators=gens, F=face, atom_supports=supports)
+
+
+def built(build, dim, **rows):
+    """(repr, atom supports) of the space, or (error class, message)."""
+    try:
+        sp = build(dim, name="probe", **rows)
+    except OrderConeError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(sp), sp.atom_supports
+
+
+def test_build_space_matches_the_fraction_construction():
+    spaces, rng = integer_route_spaces()
+    factors = (Fraction(1, 2), Fraction(3, 4), Fraction(5, 3), Fraction(2, 7), Fraction(9, 5), Fraction(7))
+    for sp in spaces:
+        G, F = list(sp.generators), list(sp.F)
+        scaled_G = [vscale(rng.choice(factors), g) for g in G]
+        scaled_F = [vscale(rng.choice(factors), f) for f in F]
+        redundant_G = scaled_G + [vadd(G[0], G[-1]), G[0], vscale(Fraction(1, 3), G[-1])]
+        redundant_F = scaled_F + [vadd(F[0], F[-1]), F[-1]]
+        rng.shuffle(redundant_G)
+        rng.shuffle(redundant_F)
+        routes = [
+            {"generators": G},
+            {"facets": F},
+            {"generators": G, "facets": F},
+            {"generators": G[::-1], "facets": F[::-1]},  # the caller's order is kept
+            {"generators": redundant_G},
+            {"facets": redundant_F},
+            {"generators": redundant_G, "facets": redundant_F},
+            {"generators": G, "facets": F[1:]},  # a facet missing: the facets do not match
+        ]
+        for rows in routes:
+            got = built(build_space, sp.dim, **rows)
+            assert got == built(fraction_build_space, sp.dim, **rows), (sp.name, rows)
+            if got[0].startswith("OrderedSpace("):
+                space = build_space(sp.dim, **rows)
+                # The caches build_space seeds are what the cached properties compute.
+                assert space.int_facets == type(space).int_facets.func(space), sp.name
+                assert space.int_generators == type(space).int_generators.func(space), sp.name
+
+
+def test_build_space_refusals_match_the_fraction_construction():
+    cut_to_origin = {
+        "generators": [(2, 0, -1), (2, -1, -2), (0, 2, 1), (2, 2, 0), (2, -2, -1)],
+        "facets": [(-2, 0, 2), (1, 0, -2), (2, -1, -1), (-1, 1, 2), (2, -1, 0)],
+    }
+    cases = [
+        (3, {"generators": [(1, 0, 0), (0, 1, 0), (1, 1, 0)]}, "NotGenerating"),  # rank deficient
+        (2, {"generators": [(1, 0), (-1, 0), (0, 1)]}, "NotPointed"),  # a line
+        (2, {"facets": [(1, 0), (-1, 0)]}, "NotPointed"),  # rank deficient facets
+        (2, {"facets": [(1, 0), (0, 1), (-1, -1)]}, "NotGenerating"),  # only the origin
+        (3, cut_to_origin, "ParseError"),
+        (3, {"facets": cut_to_origin["facets"]}, "NotGenerating"),
+        (2, {"generators": [(1, 0), (0, 1)], "facets": [(1, 0), (1, 1)]}, "ParseError"),  # mismatched
+        (2, {"generators": [(1, 0), (0, 1)], "facets": [(1, 0), (0, 1), (1, 0), (1, -1)]}, "ParseError"),
+        (2, {"generators": [(1, 0), (0, 0)]}, "ParseError"),  # a zero row
+        (2, {"generators": [(1, "x")]}, "ParseError"),
+        (2, {"generators": [(1, 0, 0)]}, "ParseError"),
+    ]
+    for dim, rows, error in cases:
+        got = built(build_space, dim, **rows)
+        assert got[0] == error, (rows, got)
+        assert got == built(fraction_build_space, dim, **rows), rows
+
+
+def test_build_space_refuses_more_rows_than_the_bound(tmp_path, monkeypatch):
+    def no_elimination(rows):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(linalg, "_echelon", no_elimination)
+    monkeypatch.setattr(cones, "_echelon", no_elimination)
+    over = [(1, k) for k in range(MAX_ROWS)] + [(1, 0)]  # counted as given, the duplicate too
+    for rows in ({"generators": over}, {"facets": over}, {"generators": [(1, 0), (0, 1)], "facets": over}):
+        with pytest.raises(ParseError, match=f"more than {MAX_ROWS}"):
+            build_space(2, **rows)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 2, "generators": over}))
+    assert main(["classify", "--space", str(path)]) == 2
+    monkeypatch.undo()
+    assert build_space(2, generators=over[:MAX_ROWS]).m == 2  # the bound itself is accepted

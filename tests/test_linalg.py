@@ -7,6 +7,7 @@ import pytest
 
 from ordercone.linalg import (
     ZERO,
+    _coprime,
     _echelon,
     _over,
     as_fraction,
@@ -176,7 +177,7 @@ def test_misc_helpers():
 
 def rref(M):
     """The RREF of M from `_echelon`'s integer rows, each pivot row over its pivot, and the pivot columns."""
-    rows, pivots = _echelon(M)
+    rows, pivots = _echelon([_coprime(r) for r in M])
     R = [_over(row, row[c]) for row, c in zip(rows, pivots)]
     R += [(ZERO,) * len(row) for row in rows[len(pivots):]]
     return tuple(R), tuple(pivots)

@@ -12,7 +12,6 @@ from ordercone.seqspace import (
     NonDisjoint,
     NonPervasive,
     ProvedNone,
-    SeqElement,
     Some,
     b_element,
     c_element,
