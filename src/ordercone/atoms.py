@@ -34,7 +34,7 @@ from .bands import (
     positive_generators,
     vanish_set,
 )
-from .cones import OrderedSpace, _image, embed, in_cone, leq
+from .cones import OrderedSpace, _image, _images, _sums, embed, in_cone
 from .errors import (
     CapExceeded,
     CertificateError,
@@ -47,28 +47,20 @@ from .errors import (
 )
 from .linalg import (
     Mat,
-    ONE,
     Vec,
     ZERO,
     _canonical_rows,
     _over,
     canonical_subspace_basis,
-    dot,
     is_zero_vec,
-    mat_vec,
     rank,
     solve_linear,
     support,
     transpose,
-    vadd,
-    vmax,
-    vmin,
-    vneg,
     vscale,
     vsub,
-    zero_vec,
 )
-from .lp import Infeasible, Optimal, Polyhedron, lp_nonneg
+from .lp import Infeasible, _lp_nonneg
 
 
 # --- atoms and discrete elements -------------------------------------------
@@ -402,43 +394,54 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     for the rows B_t of B (g = e_t there) and lo_i <= g_i . (lo_B + s) <= hi_i
     for the rows i outside B: n + 2(m - n) rows over n variables.
 
+    All of it runs on ints.  x1, x2 and z are scaled by one common
+    denominator, so that their images are int rows S F x; the cone checks,
+    z <= x1 + x2 and the box S lo, S hi are read off those.  The LP takes
+    the variables S s and each row outside B as e_i times its rational row,
+    with (e_i, e_i g_i) from `int_coordinates`; one scale for all variables
+    and one per row leave its pivots, and so z1, unchanged.  z1 comes from
+    `int_row_inverse`, and its image is checked to lie in [lo, hi] on ints;
+    a failed check raises CertificateError.  Fractions are built only for
+    z1 and z2.
+
     On a simplicial cone m = n and only the first n rows exist.  Their
     right-hand sides are >= 0 since lo <= hi, so every slack starts basic,
     there is no phase 1, and the zero objective stops phase 2 at s = 0 with
     no pivot: z1 = F^{-1} lo.
     """
-    if not (in_cone(space, x1) and in_cone(space, x2) and in_cone(space, z)):
+    S, (X1, X2, Z) = _images(space, (x1, x2, z))
+    if any(e < 0 for e in chain(X1, X2, Z)):
         raise PreconditionViolated("x1, x2, z must lie in the cone")
-    if not leq(space, z, vadd(x1, x2)):
+    if any(a + b < c for a, b, c in zip(X1, X2, Z)):
         raise PreconditionViolated("need z <= x1 + x2")
     n = space.dim
-    Fz = embed(space, z)
-    lo = vmax(zero_vec(space.m), vsub(Fz, embed(space, x2)))
-    hi = vmin(embed(space, x1), Fz)
-    B, Binv, G = space.row_basis
-    lo_B = tuple(lo[i] for i in B)
-    rows: list[Vec] = []
-    rhs: list[Fraction] = []
-    for t, i in enumerate(B):
-        rows.append(tuple(-ONE if u == t else ZERO for u in range(n)))
-        rhs.append(lo[i] - hi[i])  # s_t <= hi_i - lo_i
+    lo = [max(0, c - b) for b, c in zip(X2, Z)]
+    hi = [min(a, c) for a, c in zip(X1, Z)]
+    B = space.row_basis[0]
+    lo_B = [lo[i] for i in B]
+    rows = [[-int(u == t) for u in range(n)] + [lo[i] - hi[i]] for t, i in enumerate(B)]  # s_t <= hi_i - lo_i
+    scales = [1] * n
     in_B = set(B)
-    for i, g in enumerate(G):
+    for i, (e, g) in enumerate(space.int_coordinates):
         if i in in_B:
             continue
-        base = dot(g, lo_B)
-        rows.append(g)
-        rhs.append(lo[i] - base)  # g . (lo_B + s) >= lo_i
-        rows.append(vneg(g))
-        rhs.append(base - hi[i])  # g . (lo_B + s) <= hi_i
-    res = lp_nonneg(zero_vec(n), Polyhedron(tuple(rows), tuple(rhs), n))
+        base = sum(map(mul, g, lo_B))
+        rows.append([*g, e * lo[i] - base])  # g . (lo_B + s) >= lo_i
+        rows.append([-c for c in g] + [base - e * hi[i]])  # g . (lo_B + s) <= hi_i
+        scales += [e, e]
+    res = _lp_nonneg(rows, scales, [0] * n)
     if isinstance(res, Infeasible):
         return NoSplit()
-    if not isinstance(res, Optimal):
+    if not isinstance(res, tuple):
         raise ArithmeticError(f"the split LP has a zero objective, yet came back {res}")
-    z1 = mat_vec(Binv, vadd(lo_B, res.point))
-    if not all(a <= y <= b for a, y, b in zip(lo, embed(space, z1), hi)):
+    s, L = res
+    D, Rinv = space.int_row_inverse
+    y_B = [L * a + b for a, b in zip(lo_B, s)]
+    z1 = [sum(map(mul, row, y_B)) for row in Rinv]  # D L S z1
+    K = space.int_facets[0] * D * L
+    if not all(K * a <= y <= K * b for a, y, b in zip(lo, _sums(space, z1), hi)):
         raise CertificateError("the split LP returned a point whose image leaves [lo, hi]")
+    z1 = _over(z1, D * L * S)
     return Split(z1, vsub(z, z1))
 
 

@@ -14,7 +14,7 @@ from itertools import chain, product
 from math import gcd, prod
 from operator import mul
 
-from .cones import OrderedSpace, _image, embed, extreme_rays
+from .cones import OrderedSpace, _image, _images, embed, extreme_rays
 from .errors import CapExceeded, ParseError
 from .linalg import (
     Mat,
@@ -30,10 +30,7 @@ from .linalg import (
     rank,
     support,
     transpose,
-    vabs,
-    vadd,
     vec,
-    vsub,
 )
 
 DEFAULT_ENUMERATION_CAP = 14
@@ -87,10 +84,12 @@ def disjoint_eq1_oracle(space: OrderedSpace, x: Vec, y: Vec) -> bool:
     The two upper sets are {z : F z >= |F(x+y)|} and {z : F z >= |F(x-y)|}.
     The space is order dense in its cover (see `cover`), so each bound is
     the coordinatewise minimum of its upper set, and the sets are equal iff
-    |F(x+y)| = |F(x-y)|.  Nothing here consults supports, so this is an
-    independent second oracle.
+    |F(x+y)| = |F(x-y)|.  Both sides are read off the int images of x and y
+    over one common denominator.  Nothing here consults supports, so this
+    is an independent second oracle.
     """
-    return vabs(embed(space, vadd(x, y))) == vabs(embed(space, vsub(x, y)))
+    u, v = _images(space, (x, y))[1]
+    return all(abs(a + b) == abs(a - b) for a, b in zip(u, v))
 
 
 def union_support(space: OrderedSpace, vectors) -> frozenset[int]:

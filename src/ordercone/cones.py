@@ -24,7 +24,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .errors import NotGenerating, NotPointed, ParseError
+from .errors import CertificateError, NotGenerating, NotPointed, ParseError
 from .linalg import (
     Mat,
     Vec,
@@ -38,7 +38,6 @@ from .linalg import (
     independent_subset,
     invert,
     mat_vec,
-    solve_linear,
     support,
     transpose,
     vec,
@@ -145,8 +144,9 @@ class OrderedSpace:
     holds supp(F g) for each generator g, in generator order: which atoms lie
     in which face.  It is derived from the two fields before it, so it takes
     no part in equality or repr; nor do the cached `int_facets`, `row_basis`,
-    `int_row_inverse`, `int_generators` and `components`.  `build_space`
-    fills `int_facets` and `int_generators` from the int rows it built.
+    `int_row_inverse`, `int_coordinates`, `int_generators` and `components`.
+    `build_space` fills `int_facets` and `int_generators` from the int rows
+    it built.
     """
 
     name: str
@@ -186,6 +186,13 @@ class OrderedSpace:
         """(D, D F_B^{-1}) for the F_B^{-1} of `row_basis`: that inverse as int rows."""
         D, rows = _int_rows(self.row_basis[1])
         return D, tuple(map(tuple, rows))
+
+    @cached_property
+    def int_coordinates(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(e_i, e_i g_i) for each row g_i of `row_basis`'s F F_B^{-1}, e_i > 0
+        the lcm of its denominators: that matrix as int rows, one scale each.
+        """
+        return tuple((e, tuple(row)) for e, row in map(_ints, self.row_basis[2]))
 
     @cached_property
     def int_generators(self) -> tuple[tuple[int, ...], ...]:
@@ -325,6 +332,12 @@ def _image(space: OrderedSpace, x: Vec) -> tuple[int, list[int]]:
     return space.int_facets[0] * d, _sums(space, xi)
 
 
+def _images(space: OrderedSpace, vectors) -> tuple[int, list[list[int]]]:
+    """(S, [S F x for x in vectors]) for one int S > 0: the images over one common denominator."""
+    c = lcm(*[e.denominator for x in vectors for e in x])
+    return space.int_facets[0] * c, [_sums(space, [e.numerator * (c // e.denominator) for e in x]) for x in vectors]
+
+
 def leq(space: OrderedSpace, x: Vec, y: Vec) -> bool:
     """x <= y in the cone order, i.e. every facet functional is >= on y - x."""
     dx, xi = _ints(x)
@@ -360,8 +373,30 @@ def sup_in_X(space: OrderedSpace, M) -> Vec | None:
     upper bound below every other one, since any upper bound z has F z >= w.
     Conversely a sup s has F s >= w, and F s = w: the space is order dense
     in its cover (see `cover`), so for each j some upper bound z has
-    f_j(z) = w_j, and s <= z gives f_j(s) <= w_j.  So the sup exists iff
-    F s = w is solvable, and None means that linear system is inconsistent.
-    """
-    return solve_linear(space.F, upper_bound_polyhedron(space, M).b)
+    f_j(z) = w_j, and s <= z gives f_j(s) <= w_j.  So the sup exists iff w
+    lies in the range of F.  With (B, F_B^{-1}, G) = `row_basis`, the range
+    is the set of y with y_i = g_i . y_B for every row i, so the only
+    candidate is s = F_B^{-1} w_B, and it is the sup iff w_i = g_i . w_B for
+    every row i outside B.  So None rests on one fundamental circuit: the
+    first row i that fails, with the rows B_t where g_i is nonzero, whose
+    linear relation w breaks.  No elimination runs.
 
+    All of it runs on ints: the images S w over one common denominator, the
+    rows (e_i, e_i g_i) of `int_coordinates` and (D, D F_B^{-1}) of
+    `int_row_inverse`, so that D S s is a row of int sums.  The answer is
+    checked, F s = w on ints, and a failed check raises CertificateError.
+    """
+    M = tuple(M)
+    if not M:
+        raise ParseError("need at least one vector")
+    S, images = _images(space, M)
+    w = [max(col) for col in zip(*images)]
+    w_B = [w[i] for i in space.row_basis[0]]
+    if any(e * wi != sum(map(mul, g, w_B)) for wi, (e, g) in zip(w, space.int_coordinates)):
+        return None  # the rows of B pass, as g = e_t there
+    D, Rinv = space.int_row_inverse
+    s = [sum(map(mul, row, w_B)) for row in Rinv]
+    scale = space.int_facets[0] * D
+    if _sums(space, s) != [scale * e for e in w]:
+        raise CertificateError("the supremum's image is not the max of the images")
+    return _over(s, D * S)

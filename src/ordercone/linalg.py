@@ -87,20 +87,12 @@ def vscale(c: Fraction, v: Vec) -> Vec:
     return tuple(c * a for a in v)
 
 
-def vneg(v: Vec) -> Vec:
-    return tuple(-a for a in v)
-
-
 def vabs(v: Vec) -> Vec:
     return tuple(abs(a) for a in v)
 
 
 def vmax(u: Vec, v: Vec) -> Vec:
     return tuple(max(a, b) for a, b in zip(u, v, strict=True))
-
-
-def vmin(u: Vec, v: Vec) -> Vec:
-    return tuple(min(a, b) for a, b in zip(u, v, strict=True))
 
 
 def mat_vec(M: Mat, x: Vec) -> Vec:

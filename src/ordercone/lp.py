@@ -6,15 +6,18 @@ through phase 1, the purge of artificials still basic at zero, and phase 2;
 every pivot is the fraction-free `linalg._pivot`, and each row is a positive
 multiple of its rational row, so signs and ratio tests read off the integers
 directly (fraction-free simplex over a common denominator: Applegate, Cook,
-Dash & Espinoza, Oper. Res. Lett. 35, 2007).  Fractions are built only for
-the optimal point.  Problems are tiny here (tens of variables), which makes
-dense tableaus the right trade.
+Dash & Espinoza, Oper. Res. Lett. 35, 2007).  Problems are tiny here (tens
+of variables), which makes dense tableaus the right trade.
 
-There is one solver, `lp_nonneg`, over {x : A x >= b, x >= 0}.  `lp`, over
-{x : A x >= b} with x free, runs it on the columns [A | -A] and reads back
-x = u - v.  The library solves LPs only where the face structure does not
-give the answer: `rdp_split` calls `lp_nonneg` in image coordinates, whose
-variables are nonnegative by construction, and `is_majorizing` calls `lp`
+There is one solver, `_lp_nonneg`, over {x : A x >= b, x >= 0}, given as
+int rows [A | b] and an int cost row; it hands back the optimal point as
+ints over one common denominator.  `lp_nonneg` is its `Fraction` front: it
+scales each row to ints once and builds Fractions only for the point and
+the value.  `lp`, over {x : A x >= b} with x free, runs `lp_nonneg` on the
+columns [A | -A] and reads back x = u - v.  The library solves LPs only
+where the face structure does not give the answer: `rdp_split` builds its
+rows in image coordinates, whose variables are nonnegative by construction,
+as ints and calls `_lp_nonneg` directly, and `is_majorizing` calls `lp`
 through `feasible_point`.  Minima over upper sets {z : F z >= w} need none,
 since the facet embedding is order dense (see `cover`); the self-test keeps
 `lp` as their oracle, and as the oracle of every `NoSplit`.
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import Mat, Vec, _ints, _pivot, dot, vsub, zero_vec
+from .linalg import Mat, Vec, _ints, _over, _pivot, dot, vsub, zero_vec
 
 
 @dataclass(frozen=True)
@@ -115,36 +119,62 @@ def _price(T: list[list[int]], basis: list[int], cost: list[int]) -> None:
 def lp_nonneg(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
     """Optimize an exact linear objective over {x : A x >= b, x >= 0}.
 
-    One tableau serves both phases.  Its rows are integer: each constraint
-    row is scaled by the lcm of its denominators, and every pivot is the
-    fraction-free `linalg._pivot`.  Its start basis is the slack of each row
-    with b_i <= 0 and an artificial for each other row.  Phase 1 maximizes
-    minus the sum of the artificials; a nonzero optimum proves the
-    polyhedron empty.  Otherwise each artificial still basic (at zero) is
-    pivoted out on its row's first nonzero non-artificial entry.  One exists:
-    every row owns a slack, so the non-artificial columns have full row
-    rank, and no row is ever redundant.  The pivot is on a row whose value
-    is 0, so the basis stays feasible.  Slicing off the artificial columns
-    then leaves a tableau reduced on a feasible basis, on which phase 2 runs.
-    With no row b_i > 0 there are no artificials, phase 1 is skipped, and a
-    zero objective then costs no pivot at all.
+    Each row [A_i | b_i] is scaled by the lcm of its denominators and handed,
+    with that scale, to the integer solver `_lp_nonneg`; the optimal point
+    comes back over one common denominator, and only it and the value are
+    built as Fractions.
     """
     if sense not in ("max", "min"):
         raise ValueError(f"bad sense {sense!r}")
     c_obj = objective if sense == "max" else tuple(-e for e in objective)
-    n = P.n
-    k = len(P.A)
+    scales, rows = [], []
+    for a, beta in zip(P.A, P.b, strict=True):
+        d, row = _ints([*a, beta])
+        scales.append(d)
+        rows.append(row)
+    res = _lp_nonneg(rows, scales, _ints(c_obj)[1])
+    if not isinstance(res, tuple):
+        return res
+    point = _over(*res)
+    value = dot(c_obj, point)
+    return Optimal(value if sense == "max" else -value, point)
+
+
+def _lp_nonneg(rows: list[list[int]], scales: list[int], cost: list[int]) -> LPResult | tuple[list[int], int]:
+    """Maximize cost . x over {x : a_i . x >= b_i, x >= 0}, all on ints.
+
+    Row i is [a_i | b_i], scales[i] > 0 times a rational constraint whose
+    slack (and artificial) has coefficient 1; those are the constraints
+    solved.  The scales fix the phase-1 objective, so rows given as other
+    positive multiples of the same constraints, or in variables scaled by one
+    positive constant, take the same pivots.  Returns Infeasible, Unbounded
+    or, at an optimum, (L x, L): the point as ints over one L > 0.
+
+    One tableau serves both phases, and every pivot is the fraction-free
+    `linalg._pivot`.  Its start basis is the slack of each row with
+    b_i <= 0 and an artificial for each other row.  Phase 1 maximizes minus
+    the sum of the artificials; a nonzero optimum proves the polyhedron
+    empty.  Otherwise each artificial still basic (at zero) is pivoted out on
+    its row's first nonzero non-artificial entry.  One exists: every row owns
+    a slack, so the non-artificial columns have full row rank, and no row is
+    ever redundant.  The pivot is on a row whose value is 0, so the basis
+    stays feasible.  Slicing off the artificial columns then leaves a tableau
+    reduced on a feasible basis, on which phase 2 runs.  With no row b_i > 0
+    there are no artificials, phase 1 is skipped, and a zero objective then
+    costs no pivot at all.
+    """
+    n = len(cost)
+    k = len(rows)
 
     # Variables: x(n), one slack per row, artificials last.
     first_art = n + k
-    na = sum(beta > 0 for beta in P.b)
+    na = sum(r[-1] > 0 for r in rows)
     T: list[list[int]] = []
     basis: list[int] = []
     art = first_art
-    for i, (a, beta) in enumerate(zip(P.A, P.b, strict=True)):
-        d, ints = _ints(list(a) + [beta])
-        row = ints[:n] + [0] * (k + na) + ints[n:]
-        if beta <= 0:
+    for i, (r, d) in enumerate(zip(rows, scales, strict=True)):
+        row = r[:n] + [0] * (k + na) + r[n:]
+        if r[-1] <= 0:
             # Orient as (-a).x + s = -beta so the slack can start basic.
             row = [-e for e in row]
             row[n + i] = d
@@ -170,16 +200,15 @@ def lp_nonneg(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:
                 basis[i] = j
         T = [row[:first_art] + row[-1:] for row in T]
 
-    _price(T, basis, _ints(c_obj)[1] + [0] * (k + 1))
+    _price(T, basis, list(cost) + [0] * (k + 1))
     if not _simplex(T, basis):
         return Unbounded()
-    x = list(zero_vec(n))
-    for row, j in zip(T, basis):
-        if j < n and row[-1]:
-            x[j] = Fraction(row[-1], row[j])
-    point = tuple(x)
-    value = dot(c_obj, point)
-    return Optimal(value if sense == "max" else -value, point)
+    values = [(j, row[-1], row[j]) for row, j in zip(T, basis) if j < n and row[-1]]
+    L = lcm(*[p for _, _, p in values])
+    x = [0] * n
+    for j, v, p in values:
+        x[j] = v * (L // p)
+    return x, L
 
 
 def lp(objective: Vec, P: Polyhedron, sense: str = "max") -> LPResult:

@@ -1,5 +1,6 @@
 """Atoms, discreteness, classification, decompositions, and projections."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ordercone
+from ordercone import cones, linalg
 from ordercone.atoms import (
     AtomDecomposition,
     Classification,
@@ -40,6 +42,7 @@ from ordercone.atoms import (
 from ordercone.bands import (
     band_of,
     disjoint_complement,
+    disjoint_eq1_oracle,
     enumerate_bands,
     extend_band,
     is_directed_subspace,
@@ -47,7 +50,7 @@ from ordercone.bands import (
     restrict_band,
     subspace,
 )
-from ordercone.cones import build_space, embed, in_cone, leq
+from ordercone.cones import build_space, embed, in_cone, leq, sup_in_X
 from ordercone.cover import is_majorizing, modulus_dominates
 from ordercone.errors import (
     NotABand,
@@ -68,6 +71,7 @@ from ordercone.fixtures import (
     simplex,
 )
 from ordercone.linalg import (
+    dot,
     mat,
     mat_vec,
     primitive,
@@ -80,7 +84,7 @@ from ordercone.linalg import (
     vsub,
     zero_vec,
 )
-from ordercone.lp import Optimal, Polyhedron, lp
+from ordercone.lp import Infeasible, Optimal, Polyhedron, lp, lp_nonneg
 from ordercone.selftest import _atom_triple, _split_exists
 from test_bands import direct_sum
 from test_cover import moment_cone
@@ -645,6 +649,176 @@ def test_rdp_split_on_simplicial_cones_is_the_lower_corner():
         lo = tuple(max(Fraction(0), a - b) for a, b in zip(embed(sp, z), embed(sp, x2)))
         z1 = solve_linear(sp.F, lo)
         assert rdp_split(sp, x1, x2, z) == Split(z1, vsub(z, z1))
+
+
+def fraction_rdp_split(space, x1, x2, z):
+    """`rdp_split` as it ran on Fractions: the oracle for its integer form.
+
+    The same LP in image coordinates, set up with Fraction images, box ends
+    and rows of `row_basis`, and solved by the public `lp_nonneg`.
+    """
+    if not (in_cone(space, x1) and in_cone(space, x2) and in_cone(space, z)):
+        raise PreconditionViolated("x1, x2, z must lie in the cone")
+    if not leq(space, z, vadd(x1, x2)):
+        raise PreconditionViolated("need z <= x1 + x2")
+    n = space.dim
+    Fz = embed(space, z)
+    lo = tuple(max(Fraction(0), a - b) for a, b in zip(Fz, embed(space, x2)))
+    hi = tuple(map(min, embed(space, x1), Fz))
+    B, Binv, G = space.row_basis
+    lo_B = tuple(lo[i] for i in B)
+    rows, rhs = [], []
+    for t, i in enumerate(B):
+        rows.append(vec([-int(u == t) for u in range(n)]))
+        rhs.append(lo[i] - hi[i])
+    for i, g in enumerate(G):
+        if i not in B:
+            base = dot(g, lo_B)
+            rows += [g, tuple(-e for e in g)]
+            rhs += [lo[i] - base, base - hi[i]]
+    res = lp_nonneg(zero_vec(n), Polyhedron(tuple(rows), tuple(rhs), n))
+    if isinstance(res, Infeasible):
+        return NoSplit()
+    z1 = mat_vec(Binv, vadd(lo_B, res.point))
+    return Split(z1, vsub(z, z1))
+
+
+def mixed_positive(rng, space):
+    """A nonzero cone element whose coordinates have mixed denominators."""
+    coeffs = [Fraction(rng.randint(0, 5), rng.randint(1, 7)) for _ in space.generators]
+    if not any(coeffs):
+        coeffs[rng.randrange(len(coeffs))] = Fraction(1, rng.randint(1, 7))
+    gens = space.generators
+    return tuple(sum((c * g[i] for c, g in zip(coeffs, gens)), start=Fraction(0)) for i in range(space.dim))
+
+
+def test_rdp_split_is_the_fraction_split():
+    """The integer `rdp_split` returns exactly the Fraction form's answer: the same z1 or NoSplit.
+
+    The moment cones C(8,4) and C(8,5) have LPs whose phase 1 takes
+    different pivots when the rows' scales are dropped, so they check that
+    the integer rows are the same constraints.
+    """
+    rng = random.Random(40617)
+    fifteen_gon = build_space(3, generators=[[k, k * k, 1] for k in range(-7, 8)])
+    plan = [(random_space(rng), 15) for _ in range(20)]
+    plan += [(random_polygon_space(rng, m), 15) for m in (4, 5, 6, 7, 8)]
+    plan += [(fifteen_gon, 15), (moment_cone(range(6), 3), 15), (moment_cone(range(7), 4), 15)]
+    plan += [(moment_cone(range(8), 4), 60), (moment_cone(range(8), 5), 60)]
+    found = {Split: 0, NoSplit: 0}
+    for sp, count in plan:
+        for _ in range(count):
+            x1, x2, w = (mixed_positive(rng, sp) for _ in range(3))
+            img, cap = embed(sp, w), embed(sp, vadd(x1, x2))
+            top = min(b / a for a, b in zip(img, cap) if a > 0)
+            z = vscale(top * Fraction(rng.randint(1, 4), rng.randint(4, 5)), w)
+            triple = _atom_triple(rng, sp) if rng.random() < 0.3 else None
+            if triple is not None:
+                scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                x1, x2, z = (vscale(scale, v) for v in triple)
+            res = rdp_split(sp, x1, x2, z)
+            assert res == fraction_rdp_split(sp, x1, x2, z), sp.name
+            found[type(res)] += 1
+    assert found[Split] >= 300 and found[NoSplit] >= 100
+
+
+def test_queries_refuse_wrong_length_vectors():
+    sp = four_ray()
+    v1, _, v3 = sp.generators[:3]
+    short = vec((1, 0))
+    for args in ((short, v3, v1), (v1, short, v1), (v1, v3, short)):
+        with pytest.raises(ValueError):
+            rdp_split(sp, *args)
+    with pytest.raises(ValueError):
+        sup_in_X(sp, [v1, vec((1, 0, 1, 0))])
+    for args in ((short, v1), (v1, short)):
+        with pytest.raises(ValueError):
+            disjoint_eq1_oracle(sp, *args)
+
+
+def test_split_and_sup_work_counts(monkeypatch):
+    """Eliminations and pivots per `rdp_split` and `sup_in_X` call, pinned.
+
+    Once a space's `row_basis` is cached, neither query eliminates; on a
+    simplicial cone `rdp_split` makes no pivot either.
+    """
+    counts = {"_echelon": 0, "_pivot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    modules = {linalg: counts, cones: ["_echelon"], importlib.import_module("ordercone.lp"): ["_pivot"]}
+    for mod, names in modules.items():
+        for name in names:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    rng = random.Random(40618)
+    spaces = {
+        "four-ray": four_ray(),
+        "pentagon": pentagon(),
+        "C(7,4)": moment_cone(range(7), 4),
+        **{f"simplicial:{n}": random_simplicial_space(rng, n) for n in (1, 3, 5)},
+    }
+    got = {}
+    for label, sp in spaces.items():
+        sp.row_basis
+        counts.update(_echelon=0, _pivot=0)
+        for _ in range(10):
+            rdp_split(sp, *(_atom_triple(rng, sp) or interval_probe(rng, sp)))
+        got[label, "rdp_split"] = counts["_echelon"], counts["_pivot"]
+        counts.update(_echelon=0, _pivot=0)
+        for _ in range(10):
+            sup_in_X(sp, [mixed_positive(rng, sp), random_vector(rng, sp.dim)])
+        got[label, "sup_in_X"] = counts["_echelon"], counts["_pivot"]
+    pivots = {"four-ray": 25, "pentagon": 37, "C(7,4)": 112}  # phase 1 of the atom-triple LPs
+    assert got == {
+        **{(label, "rdp_split"): (0, pivots.get(label, 0)) for label in spaces},
+        **{(label, "sup_in_X"): (0, 0) for label in spaces},
+    }
+
+
+def test_split_and_sup_certificates_survive_optimize():
+    """Under python -O a wrong D F_B^{-1} fails the integer checks of `rdp_split` and `sup_in_X`."""
+    script = "\n".join(
+        [
+            "from ordercone.atoms import rdp_split",
+            "from ordercone.cones import sup_in_X",
+            "from ordercone.errors import CertificateError",
+            "from ordercone.fixtures import four_ray, simplex",
+            "from ordercone.linalg import vec",
+            "assert False, 'asserts must be stripped'",
+            "four, q3 = four_ray(), simplex(3)",
+            "v1, v3 = four.generators[0], four.generators[2]",
+            "x1, x2, z = vec((1, 2, 0)), vec((0, 1, 3)), vec((1, 2, 1))",
+            "probes = [",
+            "    (four, lambda: rdp_split(four, v1, v3, vec((0, 0, 2)))),",
+            "    (four, lambda: sup_in_X(four, [v1, v3])),",
+            "    (q3, lambda: rdp_split(q3, x1, x2, z)),",
+            "    (q3, lambda: sup_in_X(q3, [x1, x2])),",
+            "]",
+            "for sp, probe in probes:",
+            "    probe()",
+            "    D, Rinv = sp.int_row_inverse",
+            "    sp.__dict__['int_row_inverse'] = (D, (tuple(e + 1 for e in Rinv[0]),) + Rinv[1:])",
+            "    try:",
+            "        probe()",
+            "    except CertificateError as exc:",
+            "        print('CertificateError:', exc)",
+            "    else:",
+            "        raise SystemExit('no CertificateError')",
+            "    sp.__dict__['int_row_inverse'] = (D, Rinv)",
+        ]
+    )
+    src = str(Path(ordercone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("CertificateError:") == 4
 
 
 def test_check_ideal_decomposition_frozen():

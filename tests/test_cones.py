@@ -212,6 +212,32 @@ def test_sup_least_among_sampled_upper_bounds():
             assert leq(S, s, z) and all(leq(S, x, z) for x in xs)
 
 
+def fraction_sup(space, xs):
+    """`sup_in_X` as it ran on Fractions: one elimination of F s = w, w the max of the images."""
+    return solve_linear(space.F, tuple(max(col) for col in zip(*[embed(space, x) for x in xs])))
+
+
+def mixed_vector(rng, n):
+    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n))
+
+
+def test_sup_in_X_is_the_fraction_solve():
+    """The integer `sup_in_X` returns exactly the Fraction elimination's answer: the same sup or None."""
+    rng = random.Random(7311)
+    fifteen_gon = build_space(3, generators=[[k, k * k, 1] for k in range(-7, 8)])
+    spaces = [random_space(rng) for _ in range(20)] + [random_polygon_space(rng, m) for m in (4, 5, 6, 7, 8)]
+    spaces += [fifteen_gon, moment_cone(range(6), 3), moment_cone(range(8), 3), moment_cone(range(7), 4)]
+    found = {True: 0, False: 0}
+    for sp in spaces:
+        for _ in range(20):
+            atoms = [vscale(Fraction(rng.randint(1, 6), rng.randint(1, 7)), g) for g in rng.sample(sp.generators, 2)]
+            xs = rng.choice([atoms, atoms[:1], [mixed_vector(rng, sp.dim) for _ in range(rng.randint(1, 3))]])
+            got = sup_in_X(sp, xs)
+            assert got == fraction_sup(sp, xs), sp.name
+            found[got is None] += 1
+    assert found[True] >= 100 and found[False] >= 100
+
+
 def test_polygon_cone_counts():
     rng = random.Random(5)
     S = random_polygon_space(rng, 5)

@@ -18,7 +18,7 @@ from ordercone.fixtures import (
     random_vector,
     simplex,
 )
-from ordercone.linalg import dot, mat, solve_linear, support, vadd, vec, vmin, vscale, vsub
+from ordercone.linalg import dot, mat, solve_linear, support, vadd, vec, vscale, vsub
 from ordercone.lp import Polyhedron, feasible_point, lp
 
 
@@ -212,8 +212,8 @@ def test_riesz_decomposition_in_cover():
                 total[j] * Fraction(rng.randint(0, 4), 4) for j in range(m)
             )
         )
-        y = vmin(y, total)
-        u = vmin(y, y1)
+        y = tuple(map(min, y, total))
+        u = tuple(map(min, y, y1))
         v = vsub(y, u)
         assert vadd(u, v) == y
         assert all(0 <= u[j] <= y1[j] for j in range(m))

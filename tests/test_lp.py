@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from ordercone.linalg import dot, mat, transpose, vec, vneg, zero_vec
+from ordercone.linalg import dot, mat, transpose, vec, zero_vec
 from ordercone.lp import Infeasible, Optimal, Polyhedron, Unbounded, feasible_point, lp, lp_nonneg
 
 
@@ -119,14 +119,14 @@ def test_strong_duality_random():
 
         k = len(P.A)
         At = transpose(P.A)
-        rows = [list(r) for r in At] + [list(vneg(r)) for r in At]
-        rhs = list(vneg(c)) + list(c)
+        rows = [list(r) for r in At] + [[-e for e in r] for r in At]
+        rhs = [-e for e in c] + list(c)
         for i in range(k):
             e = [0] * k
             e[i] = 1
             rows.append(e)
             rhs.append(0)
-        dual = lp(vneg(P.b), Polyhedron(mat(rows), vec(rhs), k), sense="min")
+        dual = lp(tuple(-e for e in P.b), Polyhedron(mat(rows), vec(rhs), k), sense="min")
         assert isinstance(dual, Optimal)
         assert dual.value == primal.value
 

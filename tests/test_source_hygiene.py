@@ -171,22 +171,25 @@ def test_rational_steps_are_detected():
 
 
 def test_elimination_kernel_stays_on_integers():
-    # The pivot and the eliminations built on it, the simplex loop, the cone
-    # test, double description, the construction of a space from its rows,
-    # the flat pass with its pieces and the atom test run on integer rows;
-    # only their callers build Fractions.
+    # The pivot and the eliminations built on it, the simplex loop and the LP
+    # solver around it, the cone test, double description, the construction
+    # of a space from its rows, the flat pass with its pieces, the atom test
+    # and the definition-route disjointness oracle run on integer rows; only
+    # their callers build Fractions.
     kernel = (
         ("linalg", "_pivot"),
         ("linalg", "_echelon"),
         ("linalg", "_rank"),
         ("linalg", "_nullspace"),
         ("lp", "_simplex"),
+        ("lp", "_lp_nonneg"),
         ("cones", "in_cone"),
         ("cones", "_rays"),
         ("cones", "_cut"),
         ("cones", "_representations"),
         ("bands", "_flats"),
         ("bands", "_cut_piece"),
+        ("bands", "disjoint_eq1_oracle"),
         ("atoms", "is_atom"),
     )
     assert {f"{m}.{f}": rational_steps(function(m, f)) for m, f in kernel} == {f"{m}.{f}": [] for m, f in kernel}
