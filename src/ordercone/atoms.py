@@ -23,10 +23,10 @@ from .bands import (
     Subspace,
     _by_carrier,
     _carrier,
+    _complement,
     _is_separator,
     _kernel_is_directed,
     _kernel_rows,
-    band_of,
     disjoint_complement,
     is_band,
     is_disjoint,
@@ -54,9 +54,7 @@ from .linalg import (
     canonical_subspace_basis,
     is_zero_vec,
     rank,
-    solve_linear,
     support,
-    transpose,
     vscale,
     vsub,
 )
@@ -152,6 +150,8 @@ def classify(space: OrderedSpace) -> Classification:
       vanishes on every other atom, so no atom lies in the span of the others
       and the cone is simplicial.
     The violation reported is the first such pair in generator order.
+    On a simplicial cone the facet rows are a basis, with no circuit, so F
+    is onto Q^m: every box meets the range of F and every split exists.
     """
     gens = space.generators
     lattice = _is_simplicial(space)
@@ -239,24 +239,24 @@ class NoDecomposition:
 def decompose_by_atom(space: OrderedSpace, x: Vec, a: Vec):
     """Split x = lambda*a + w with w disjoint from the atom a, when possible.
 
-    Requires the principal band of a and its complement to decompose the
-    space; the split itself solves x against [a | basis of the complement].
+    Requires the principal band {a}^dd of a and its complement {a}^d =
+    ker F_s, s = supp(F a), to decompose the space ({a}^ddd = {a}^d, so two
+    complements give both).  Face rule for the split itself: w = x - lambda*a
+    lies in ker F_s iff F_s x = lambda F_s a, and F a has no zero on s, so
+    lambda is read crosswise off the two images.
     """
     if not is_atom(space, a):
         raise NotAtom("a must generate an extreme ray")
-    Ba = band_of(space, a)
-    Bd = disjoint_complement(space, Ba)
+    s, Bd = _complement(space, [a])
+    Ba = _complement(space, Bd)[1]
     n = space.dim
-    if Ba.carrier.dim + Bd.carrier.dim != n:
-        return NoDecomposition(
-            f"principal band and complement have dimensions "
-            f"{Ba.carrier.dim} + {Bd.carrier.dim} != {n}"
-        )
-    cols = (a,) + Bd.carrier.basis
-    coeffs = solve_linear(transpose(cols), x)
-    if coeffs is None:
+    if Ba.dim + Bd.dim != n:
+        return NoDecomposition(f"principal band and complement have dimensions {Ba.dim} + {Bd.dim} != {n}")
+    _, (X, A) = _images(space, (x, a))
+    j, *rest = sorted(s)
+    if any(X[i - 1] * A[j - 1] != X[j - 1] * A[i - 1] for i in rest):
         return NoDecomposition("x is not a combination of the atom and its disjoint complement")
-    lam = coeffs[0]
+    lam = Fraction(X[j - 1], A[j - 1])
     atom_part = vscale(lam, a)
     w = vsub(x, atom_part)
     if not is_disjoint(space, atom_part, w):
@@ -283,25 +283,25 @@ def _project(space: OrderedSpace, B: Band, L: frozenset[int]) -> ProjectionRepor
 
     L is the band's maximal zero set.  The band is a projection band iff L is
     a union of the matroid's components (`OrderedSpace.components`), i.e.
-    iff r(L) + r([m] - L) = n.  Then the basis rows R of `row_basis` split
-    into bases of the rows in L and of the rest, and P = F_R^{-1} E F_R, with
-    E dropping the basis rows in L, is the projection.  P is the certificate,
-    checked by one identity F P = E_L F, with E_L setting the rows in L to 0:
-    F P x is F x with the rows of L set to 0.  It implies the rest.  P is
-    idempotent, as F P P = E_L F P = E_L E_L F = E_L F = F P and F is
-    injective; its range and kernel are ker F_L and ker F_{[m]-L}; and it
-    keeps P g and g - P g positive for g >= 0, as their images E_L F g and
-    F g - E_L F g split F g >= 0.  A failed check raises CertificateError.
+    iff r(L) + r([m] - L) = n.  Then the rows R of the space's one row
+    basis (`row_basis`) split into bases of the rows in L and of the rest,
+    and P = F_R^{-1} E F_R, with E dropping the basis rows in L, is the
+    projection.  P is the certificate, checked by one identity F P = E_L F,
+    with E_L setting the rows in L to 0: F P x is F x with the rows of L set
+    to 0.  It implies the rest.  P is idempotent, as
+    F P P = E_L F P = E_L E_L F = E_L F = F P and F is injective; its range
+    and kernel are ker F_L and ker F_{[m]-L}; and it keeps P g and g - P g
+    positive for g >= 0, as their images E_L F g and F g - E_L F g split
+    F g >= 0.  A failed check raises CertificateError.
 
-    The check runs on Python ints.  With (D, D F_R^{-1}) the space's
-    `int_row_inverse` and (d, d F) its `int_facets`, P_I = (D F_R^{-1}) E
-    (d F_R) is S P for S = D d, and the identity reads (d F) P_I =
-    S E_L (d F).  It holds iff the rational identity does.
+    The check runs on Python ints.  With (D, D F_R^{-1}) from `row_basis`
+    and (d, d F) the space's `int_facets`, P_I = (D F_R^{-1}) E (d F_R) is
+    S P for S = D d, and the identity reads (d F) P_I = S E_L (d F).  It
+    holds iff the rational identity does.
     """
     if not _is_separator(space, L):
         return ProjectionReport(B, False, None)
-    R = space.row_basis[0]
-    D, Rinv = space.int_row_inverse
+    R, D, Rinv, _ = space.row_basis
     d, F_I = space.int_facets
     kept = [(t, F_I[i]) for t, i in enumerate(R) if i + 1 not in L]
     P = [[sum(row[t] * f[c] for t, f in kept) for c in range(space.dim)] for row in Rinv]
@@ -384,10 +384,10 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     x2 >= 0, and F z - F x2 <= F x1 as z <= x1 + x2.  So a split exists iff
     the box [lo, hi] meets the range of F.
 
-    The LP runs in image coordinates.  Let B = independent_subset(F), so that
-    F_B is invertible, and let g_i = f_i F_B^{-1} (both are the space's
-    `row_basis`, computed once per space).  Then f_i = g_i F_B, so
-    every y = F z1 in the range has y_i = g_i . y_B.  Substitute
+    The LP runs in image coordinates.  Take the rows B of the space's one
+    row basis (`row_basis`, computed once per space), so that F_B is
+    invertible, and g_i = f_i F_B^{-1}.  Then f_i = g_i F_B, so every
+    y = F z1 in the range has y_i = g_i . y_B.  Substitute
     y_B = lo_B + s, i.e. z1 = F_B^{-1}(lo_B + s): this is a bijection between
     the z1 and the s, and lo_B <= y_B becomes s >= 0, which the solver's
     variables carry.  What is left are the rows s_t <= hi_{B_t} - lo_{B_t}
@@ -397,12 +397,12 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     All of it runs on ints.  x1, x2 and z are scaled by one common
     denominator, so that their images are int rows S F x; the cone checks,
     z <= x1 + x2 and the box S lo, S hi are read off those.  The LP takes
-    the variables S s and each row outside B as e_i times its rational row,
-    with (e_i, e_i g_i) from `int_coordinates`; one scale for all variables
-    and one per row leave its pivots, and so z1, unchanged.  z1 comes from
-    `int_row_inverse`, and its image is checked to lie in [lo, hi] on ints;
-    a failed check raises CertificateError.  Fractions are built only for
-    z1 and z2.
+    the variables S s and each row outside B as D times its rational row,
+    with the int rows D g_i of `row_basis`; one scale for all variables and
+    one positive scale per row leave its pivots, and so z1, unchanged.  z1
+    comes from the int rows D F_B^{-1}, and its image is checked to lie in
+    [lo, hi] on ints; a failed check raises CertificateError.  Fractions are
+    built only for z1 and z2.
 
     On a simplicial cone m = n and only the first n rows exist.  Their
     right-hand sides are >= 0 since lo <= hi, so every slack starts basic,
@@ -417,27 +417,26 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     n = space.dim
     lo = [max(0, c - b) for b, c in zip(X2, Z)]
     hi = [min(a, c) for a, c in zip(X1, Z)]
-    B = space.row_basis[0]
+    B, D, inverse, G = space.row_basis
     lo_B = [lo[i] for i in B]
     rows = [[-int(u == t) for u in range(n)] + [lo[i] - hi[i]] for t, i in enumerate(B)]  # s_t <= hi_i - lo_i
     scales = [1] * n
     in_B = set(B)
-    for i, (e, g) in enumerate(space.int_coordinates):
+    for i, g in enumerate(G):
         if i in in_B:
             continue
         base = sum(map(mul, g, lo_B))
-        rows.append([*g, e * lo[i] - base])  # g . (lo_B + s) >= lo_i
-        rows.append([-c for c in g] + [base - e * hi[i]])  # g . (lo_B + s) <= hi_i
-        scales += [e, e]
+        rows.append([*g, D * lo[i] - base])  # g . (lo_B + s) >= lo_i
+        rows.append([-c for c in g] + [base - D * hi[i]])  # g . (lo_B + s) <= hi_i
+        scales += [D, D]
     res = _lp_nonneg(rows, scales, [0] * n)
     if isinstance(res, Infeasible):
         return NoSplit()
     if not isinstance(res, tuple):
         raise ArithmeticError(f"the split LP has a zero objective, yet came back {res}")
     s, L = res
-    D, Rinv = space.int_row_inverse
     y_B = [L * a + b for a, b in zip(lo_B, s)]
-    z1 = [sum(map(mul, row, y_B)) for row in Rinv]  # D L S z1
+    z1 = [sum(map(mul, row, y_B)) for row in inverse]  # D L S z1
     K = space.int_facets[0] * D * L
     if not all(K * a <= y <= K * b for a, y, b in zip(lo, _sums(space, z1), hi)):
         raise CertificateError("the split LP returned a point whose image leaves [lo, hi]")

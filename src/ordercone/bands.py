@@ -14,13 +14,14 @@ from itertools import chain, product
 from math import gcd, prod
 from operator import mul
 
-from .cones import OrderedSpace, _image, _images, embed, extreme_rays
+from .cones import OrderedSpace, _image, _images, _rays
 from .errors import CapExceeded, ParseError
 from .linalg import (
     Mat,
     Vec,
     ZERO,
     _canonical_rows,
+    _coprime,
     _fractions,
     _nullspace,
     _rank,
@@ -29,7 +30,6 @@ from .linalg import (
     mat,
     rank,
     support,
-    transpose,
     vec,
 )
 
@@ -172,15 +172,16 @@ def _kernel_is_directed(space: OrderedSpace, J, dim: int) -> bool:
 def positive_generators(space: OrderedSpace, D: Subspace) -> tuple[Vec, ...]:
     """Generators of the cone D ∩ K, for an arbitrary subspace D.
 
-    Double description of {c : sum c_i b_i in K} in coefficient space, over
-    the basis b of D; the rays are mapped back into D.
+    Double description (`cones._rays`) of {c : sum c_i b_i in K} in
+    coefficient space, over the basis b of D: its rows are the columns of
+    the int images of the b_i, made coprime.  The rays are mapped back into D.
     """
     if D.dim == 0:
         return ()
-    FB = transpose(tuple(embed(space, b) for b in D.basis))
+    images = _images(space, D.basis)[1]
     return tuple(
         tuple(sum((c_i * b[k] for c_i, b in zip(c, D.basis)), start=ZERO) for k in range(space.dim))
-        for c in extreme_rays(FB)
+        for c in _rays([_coprime(row) for row in zip(*images)])
     )
 
 

@@ -35,9 +35,6 @@ from .linalg import (
     _ints,
     _over,
     _rank,
-    independent_subset,
-    invert,
-    mat_vec,
     support,
     transpose,
     vec,
@@ -57,36 +54,40 @@ MAX_DIM = 256
 MAX_ROWS = 1024
 
 
-def extreme_rays(A: Mat) -> tuple[Vec, ...]:
-    """Extreme rays of {x : A x >= 0}, assuming the cone is pointed.
+def _basis_inverse(A) -> tuple[list[int], int, list[list[int]] | None]:
+    """(B, L, L A_B^{-1}) for int rows A with n columns, or (B, 0, None) if rank A < n.
 
-    Requires rank(A) = n; the output is sorted lexicographically.  The rows
-    of A are scaled once to coprime ints and handed to `_rays`; the rays come
-    back as primitive Fraction rows, the same as `primitive` gives.
+    B is the first-wins maximal independent set of rows: row i is kept iff
+    it is not in the span of the rows before it, i.e. iff column i of the
+    transpose is a pivot column.  The inverse comes from the int echelon
+    form [P | M] of [A_B | I]: row k is p_k [e_k | row k of A_B^{-1}] with
+    pivot p_k > 0, and it is primitive, as [a | e_k] is, so p_k is the lcm
+    of the denominators of row k of the inverse.  So L, the lcm of the
+    pivots, is the least L > 0 that makes L A_B^{-1} integral, and row k of
+    it is the int row M_k L / p_k.
     """
-    return tuple(_fractions(r) for r in _rays([_coprime(a) for a in A]))
+    n = len(A[0]) if A else 0
+    B = _echelon(transpose(A))[1]
+    if len(B) < n:
+        return B, 0, None
+    rows = _echelon([[*A[i], *[int(j == k) for j in range(n)]] for k, i in enumerate(B)])[0]
+    L = lcm(*[row[k] for k, row in enumerate(rows)])
+    return B, L, [[e * (L // row[k]) for e in row[n:]] for k, row in enumerate(rows)]
 
 
 def _rays(A) -> list[tuple[int, ...]]:
     """Extreme rays of {x : A x >= 0} for coprime int rows A, as sorted primitive int tuples.
 
-    Double description: seed with the first n independent rows, the pivot
-    columns of the transpose (a simplicial cone whose rays are the columns
-    of the inverse), then cut with the remaining rows in input order
-    (`_cut`).  The inverse comes from the int echelon form [P | M] of
-    [A_B | I]: row k is p_k [e_k | row k of A_B^{-1}] with pivot p_k > 0, so
-    column j of the inverse times the lcm L of the pivots is the int column
-    (M_kj L / p_k)_k, made primitive by its gcd.
+    Requires rank A = n, the cone being pointed.  Double description: seed
+    with the rows B of `_basis_inverse`, a simplicial cone whose rays are
+    the columns of A_B^{-1}, each made primitive, then cut with the
+    remaining rows in input order (`_cut`).
     """
-    n = len(A[0])
-    seed = _echelon(transpose(A))[1]
-    if len(seed) < n:
-        raise ValueError("extreme_rays needs a pointed cone (rank deficient input)")
-    rows = _echelon([[*A[i], *[int(j == k) for j in range(n)]] for k, i in enumerate(seed)])[0]
-    scale = lcm(*[row[k] for k, row in enumerate(rows)])
+    seed, _, inverse = _basis_inverse(A)
+    if inverse is None:
+        raise ValueError("double description needs a pointed cone (rank deficient input)")
     rays = []
-    for j in range(n, 2 * n):
-        col = [row[j] * (scale // row[k]) for k, row in enumerate(rows)]
+    for col in zip(*inverse):
         g = gcd(*col)
         rays.append([e // g for e in col])
     return sorted(set(_cut(A, seed, rays)))
@@ -144,7 +145,7 @@ class OrderedSpace:
     holds supp(F g) for each generator g, in generator order: which atoms lie
     in which face.  It is derived from the two fields before it, so it takes
     no part in equality or repr; nor do the cached `int_facets`, `row_basis`,
-    `int_row_inverse`, `int_coordinates`, `int_generators` and `components`.
+    `int_generators` and `components`.
     `build_space` fills `int_facets` and `int_generators` from the int rows
     it built.
     """
@@ -170,29 +171,21 @@ class OrderedSpace:
         return D, tuple(map(tuple, rows))
 
     @cached_property
-    def row_basis(self) -> tuple[tuple[int, ...], Mat, Mat]:
-        """(B, F_B^{-1}, F F_B^{-1}) for B = independent_subset(F).
+    def row_basis(self) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(B, D, D F_B^{-1}, D G): the space's one row basis, as int rows over one scale D > 0.
 
-        Row i of F F_B^{-1} holds the coordinates of facet row i in the basis
-        of rows B: f_i = g_i F_B.  Its rows in B are the unit vectors.
+        B is the first-wins basis of the facet rows (`_basis_inverse`), so
+        F_B is invertible, and row i of G = F F_B^{-1} holds the coordinates
+        of facet row i in it: f_i = g_i F_B.  The rows of G in B are the unit
+        vectors.  With (d, A) = `int_facets`, A = d F, so F_B^{-1} = d A_B^{-1}
+        and G = A A_B^{-1}: one echelon of A gives (B, L, L A_B^{-1}), and
+        D = L.
         """
-        B = independent_subset(self.F)
-        Binv = invert(tuple(self.F[i] for i in B))
-        BinvT = transpose(Binv)
-        return B, Binv, tuple(mat_vec(BinvT, f) for f in self.F)
-
-    @cached_property
-    def int_row_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, D F_B^{-1}) for the F_B^{-1} of `row_basis`: that inverse as int rows."""
-        D, rows = _int_rows(self.row_basis[1])
-        return D, tuple(map(tuple, rows))
-
-    @cached_property
-    def int_coordinates(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(e_i, e_i g_i) for each row g_i of `row_basis`'s F F_B^{-1}, e_i > 0
-        the lcm of its denominators: that matrix as int rows, one scale each.
-        """
-        return tuple((e, tuple(row)) for e, row in map(_ints, self.row_basis[2]))
+        d, A = self.int_facets
+        B, D, inverse = _basis_inverse(A)
+        cols = list(zip(*inverse))
+        G = tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in A)
+        return tuple(B), D, tuple(tuple(d * e for e in row) for row in inverse), G
 
     @cached_property
     def int_generators(self) -> tuple[tuple[int, ...], ...]:
@@ -204,13 +197,13 @@ class OrderedSpace:
         """The connected components of the facet rows' matroid, as 1-based
         row sets ordered by their least row.
 
-        With (B, _, G) = `row_basis`, a row i outside B lies in one
+        With (B, _, _, D G) = `row_basis`, a row i outside B lies in one
         fundamental circuit with the basis rows B_t for which G[i][t] != 0,
         and these circuits link the rows exactly as the matroid's components
         do (Oxley, Matroid Theory, ch. 4).  A basis row no circuit reaches is
         a coloop, a component by itself.
         """
-        B, _, G = self.row_basis
+        B, _, _, G = self.row_basis
         comps: list[set[int]] = []
         for i, g in enumerate(G, 1):
             linked = {i} | {B[t] + 1 for t, e in enumerate(g) if e != 0}
@@ -374,28 +367,29 @@ def sup_in_X(space: OrderedSpace, M) -> Vec | None:
     Conversely a sup s has F s >= w, and F s = w: the space is order dense
     in its cover (see `cover`), so for each j some upper bound z has
     f_j(z) = w_j, and s <= z gives f_j(s) <= w_j.  So the sup exists iff w
-    lies in the range of F.  With (B, F_B^{-1}, G) = `row_basis`, the range
-    is the set of y with y_i = g_i . y_B for every row i, so the only
-    candidate is s = F_B^{-1} w_B, and it is the sup iff w_i = g_i . w_B for
-    every row i outside B.  So None rests on one fundamental circuit: the
-    first row i that fails, with the rows B_t where g_i is nonzero, whose
-    linear relation w breaks.  No elimination runs.
+    lies in the range of F.  With B and G = F F_B^{-1} from the space's one
+    row basis (`row_basis`), the range is the set of y with y_i = g_i . y_B
+    for every row i, so the only candidate is s = F_B^{-1} w_B, and it is
+    the sup iff w_i = g_i . w_B for every row i outside B.  So None rests on
+    one fundamental circuit: the first row i that fails, with the rows B_t
+    where g_i is nonzero, whose linear relation w breaks.  No elimination
+    runs.
 
-    All of it runs on ints: the images S w over one common denominator, the
-    rows (e_i, e_i g_i) of `int_coordinates` and (D, D F_B^{-1}) of
-    `int_row_inverse`, so that D S s is a row of int sums.  The answer is
-    checked, F s = w on ints, and a failed check raises CertificateError.
+    All of it runs on ints: the images S w over one common denominator and
+    the int rows D F_B^{-1} and D G of `row_basis`, so that D S s is a row
+    of int sums.  The answer is checked, F s = w on ints, and a failed check
+    raises CertificateError.
     """
     M = tuple(M)
     if not M:
         raise ParseError("need at least one vector")
     S, images = _images(space, M)
     w = [max(col) for col in zip(*images)]
-    w_B = [w[i] for i in space.row_basis[0]]
-    if any(e * wi != sum(map(mul, g, w_B)) for wi, (e, g) in zip(w, space.int_coordinates)):
+    B, D, inverse, G = space.row_basis
+    w_B = [w[i] for i in B]
+    if any(D * wi != sum(map(mul, g, w_B)) for wi, g in zip(w, G)):
         return None  # the rows of B pass, as g = e_t there
-    D, Rinv = space.int_row_inverse
-    s = [sum(map(mul, row, w_B)) for row in Rinv]
+    s = [sum(map(mul, row, w_B)) for row in inverse]
     scale = space.int_facets[0] * D
     if _sums(space, s) != [scale * e for e in w]:
         raise CertificateError("the supremum's image is not the max of the images")

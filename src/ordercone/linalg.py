@@ -256,15 +256,6 @@ def _nullspace(rows, n: int) -> list[list[int]]:
     return _canonical_rows(basis)
 
 
-def invert(M: Mat) -> Mat | None:
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(M)
-    rows, pivots = _echelon([_coprime((*row, *[int(j == i) for j in range(n)])) for i, row in enumerate(M)])
-    if len(pivots) < n or any(p >= n for p in pivots):
-        return None
-    return tuple(_over(row[n:], row[i]) for i, row in enumerate(rows))
-
-
 def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:
     """Canonical basis of span(vectors) in Q^n.
 
@@ -282,15 +273,6 @@ def _canonical_rows(rows) -> list[list[int]]:
         return []
     rows, pivots = _echelon(rows)
     return rows[: len(pivots)]
-
-
-def independent_subset(rows: Mat) -> tuple[int, ...]:
-    """Indices of the greedy (first-wins) maximal independent subset of rows.
-
-    Row i is kept iff it is not in the span of rows 0..i-1, i.e. iff column i
-    of the transpose is a pivot column.
-    """
-    return tuple(_echelon([_coprime(col) for col in transpose(rows)])[1])
 
 
 def in_span(vectors: Mat, x: Vec, n: int) -> bool:

@@ -78,6 +78,7 @@ from ordercone.linalg import (
     rank,
     solve_linear,
     support,
+    transpose,
     vadd,
     vec,
     vscale,
@@ -88,6 +89,7 @@ from ordercone.lp import Infeasible, Optimal, Polyhedron, lp, lp_nonneg
 from ordercone.selftest import _atom_triple, _split_exists
 from test_bands import direct_sum
 from test_cover import moment_cone
+from test_linalg import oracle_invert, oracle_rref
 
 
 def pentagon():
@@ -651,11 +653,18 @@ def test_rdp_split_on_simplicial_cones_is_the_lower_corner():
         assert rdp_split(sp, x1, x2, z) == Split(z1, vsub(z, z1))
 
 
+def fraction_row_basis(space):
+    """B, F_B^{-1} and G = F F_B^{-1} by Fraction elimination: the oracle of `row_basis`."""
+    B = oracle_rref(transpose(space.F))[1]
+    Binv = oracle_invert(tuple(space.F[i] for i in B))
+    return B, Binv, tuple(mat_vec(transpose(Binv), f) for f in space.F)
+
+
 def fraction_rdp_split(space, x1, x2, z):
     """`rdp_split` as it ran on Fractions: the oracle for its integer form.
 
     The same LP in image coordinates, set up with Fraction images, box ends
-    and rows of `row_basis`, and solved by the public `lp_nonneg`.
+    and the rows of `fraction_row_basis`, and solved by the public `lp_nonneg`.
     """
     if not (in_cone(space, x1) and in_cone(space, x2) and in_cone(space, z)):
         raise PreconditionViolated("x1, x2, z must lie in the cone")
@@ -665,7 +674,7 @@ def fraction_rdp_split(space, x1, x2, z):
     Fz = embed(space, z)
     lo = tuple(max(Fraction(0), a - b) for a, b in zip(Fz, embed(space, x2)))
     hi = tuple(map(min, embed(space, x1), Fz))
-    B, Binv, G = space.row_basis
+    B, Binv, G = fraction_row_basis(space)
     lo_B = tuple(lo[i] for i in B)
     rows, rhs = [], []
     for t, i in enumerate(B):
@@ -801,15 +810,15 @@ def test_split_and_sup_certificates_survive_optimize():
             "]",
             "for sp, probe in probes:",
             "    probe()",
-            "    D, Rinv = sp.int_row_inverse",
-            "    sp.__dict__['int_row_inverse'] = (D, (tuple(e + 1 for e in Rinv[0]),) + Rinv[1:])",
+            "    B, D, Rinv, G = sp.row_basis",
+            "    sp.__dict__['row_basis'] = (B, D, (tuple(e + 1 for e in Rinv[0]),) + Rinv[1:], G)",
             "    try:",
             "        probe()",
             "    except CertificateError as exc:",
             "        print('CertificateError:', exc)",
             "    else:",
             "        raise SystemExit('no CertificateError')",
-            "    sp.__dict__['int_row_inverse'] = (D, Rinv)",
+            "    sp.__dict__['row_basis'] = (B, D, Rinv, G)",
         ]
     )
     src = str(Path(ordercone.__file__).resolve().parents[1])
@@ -904,7 +913,7 @@ def test_projection_certificate_survives_optimize():
 
 
 def test_integer_certificate_catches_a_corrupted_row_basis():
-    """Under python -O a wrong F_R^{-1} fails the integer checks of `_project`."""
+    """Under python -O a wrong D F_R^{-1} fails the integer checks of `_project`."""
     script = "\n".join(
         [
             "from ordercone.atoms import _project, enumerate_order_projections",
@@ -917,9 +926,9 @@ def test_integer_certificate_catches_a_corrupted_row_basis():
             "sp = build_space(5, generators=gens, name='four-ray + simplex:2')",
             "if len(sp.components) != 3:",
             "    raise SystemExit('expected three components')",
-            "R, Rinv, G = sp.row_basis",
+            "R, D, Rinv, G = sp.row_basis",
             "bad = (tuple(e + 1 if t == 0 else e for t, e in enumerate(Rinv[0])),) + Rinv[1:]",
-            "sp.__dict__['row_basis'] = (R, bad, G)",
+            "sp.__dict__['row_basis'] = (R, D, bad, G)",
             "identity = lambda: _project(sp, kernel_of_rows(sp, ()), frozenset())",
             "for probe in (identity, lambda: enumerate_order_projections(sp)):",
             "    try:",
@@ -952,6 +961,29 @@ def test_bands_and_projections_ignore_facet_row_scaling():
         assert enumerate_order_projections(half) == enumerate_order_projections(sp), sp.name
         for a in sp.generators:
             assert is_projection_band(half, band_of(half, a)) == is_projection_band(sp, band_of(sp, a))
+
+
+def test_split_sup_and_projections_ignore_per_row_facet_scaling():
+    # Scaling each facet row by its own positive rational leaves the order,
+    # so every answer, unchanged; it changes the denominator d of
+    # `int_facets` that the row basis folds in.
+    rng = random.Random(40619)
+    factors = (Fraction(1, 2), Fraction(3, 4), Fraction(5, 3), Fraction(2, 7), Fraction(9, 5), Fraction(4))
+    found = {"split": 0, "no split": 0, "sup": 0, "no sup": 0}
+    for sp in (four_ray(), simplex(3), direct_sum(four_ray(), simplex(2))):
+        scaled = replace(sp, F=tuple(tuple(e * factors[j % len(factors)] for e in f) for j, f in enumerate(sp.F)))
+        assert scaled.int_facets[0] > 1
+        assert enumerate_order_projections(scaled) == enumerate_order_projections(sp), sp.name
+        for _ in range(30):
+            x1, x2, z = _atom_triple(rng, sp) or interval_probe(rng, sp)
+            res = rdp_split(scaled, x1, x2, z)
+            assert res == rdp_split(sp, x1, x2, z), sp.name
+            found["split" if isinstance(res, Split) else "no split"] += 1
+            xs = rng.choice([[x1, x2], [mixed_positive(rng, sp), random_vector(rng, sp.dim)]])
+            sup = sup_in_X(scaled, xs)
+            assert sup == sup_in_X(sp, xs), sp.name
+            found["sup" if sup is not None else "no sup"] += 1
+    assert min(found.values()) >= 10, found
 
 
 def test_check_ideal_decomposition_accepts_coordinate_splits():

@@ -15,7 +15,6 @@ from ordercone.cones import (
     OrderedSpace,
     build_space,
     embed,
-    extreme_rays,
     in_cone,
     leq,
     sup_in_X,
@@ -35,9 +34,9 @@ from ordercone.fixtures import (
     simplex,
 )
 from ordercone.linalg import (
+    _coprime,
+    _fractions,
     dot,
-    independent_subset,
-    invert,
     is_zero_vec,
     mat,
     mat_vec,
@@ -55,6 +54,7 @@ from ordercone.linalg import (
 from ordercone.lp import Polyhedron, lp
 from test_bands import direct_sum, oracle_spaces, pentagon
 from test_cover import moment_cone
+from test_linalg import oracle_invert, oracle_rref
 
 V1, V2, V3, V4 = (vec(g) for g in FOUR_RAY_GENERATORS)
 
@@ -248,14 +248,21 @@ def test_row_basis_is_computed_once_and_left_out_of_equality():
     rng = random.Random(4410)
     for space in [four_ray(), simplex(3)] + [random_space(rng) for _ in range(10)]:
         fresh = build_space(space.dim, generators=space.generators, facets=space.F, name=space.name)
-        B, Binv, G = space.row_basis
+        B, D, Binv, G = space.row_basis
         assert space.row_basis is space.row_basis  # cached on the space
+        assert all(type(e) is int for M in (Binv, G) for row in M for e in row) and D > 0
+        assert B == oracle_rref(transpose(space.F))[1]  # the first-wins independent rows
         FB = tuple(space.F[i] for i in B)
-        eye = mat([[int(t == u) for u in range(space.dim)] for t in range(space.dim)])
-        assert len(B) == space.dim and tuple(mat_vec(FB, col) for col in transpose(Binv)) == eye
-        assert tuple(G[i] for i in B) == eye
-        assert tuple(mat_vec(transpose(FB), g) for g in G) == space.F  # f_i = g_i F_B
+        D_eye = tuple(tuple(D * int(t == u) for u in range(space.dim)) for t in range(space.dim))
+        assert len(B) == space.dim and tuple(mat_vec(FB, col) for col in transpose(Binv)) == D_eye
+        assert tuple(G[i] for i in B) == D_eye
+        assert tuple(mat_vec(transpose(FB), g) for g in G) == tuple(vscale(D, f) for f in space.F)  # D f_i = D g_i F_B
         assert space == fresh and repr(space) == repr(fresh)
+
+
+def extreme_rays(A):
+    """`cones._rays` on the rows of A made coprime, its rays read back as Fraction rows."""
+    return tuple(_fractions(r) for r in cones._rays([_coprime(a) for a in A]))
 
 
 def test_extreme_rays_trivial_cone():
@@ -269,10 +276,10 @@ def test_extreme_rays_trivial_cone():
 
 def fraction_extreme_rays(A):
     n = len(A[0])
-    seed = independent_subset(A)
+    seed = oracle_rref(transpose(A))[1]
     if len(seed) < n:
         raise ValueError("extreme_rays needs a pointed cone (rank deficient input)")
-    Binv = invert(tuple(A[i] for i in seed))
+    Binv = oracle_invert(tuple(A[i] for i in seed))
     rays = [primitive(col) for col in transpose(Binv)]
     active = list(seed)
     seed_set = set(seed)

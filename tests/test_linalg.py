@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from ordercone.cones import _basis_inverse
 from ordercone.linalg import (
     ZERO,
     _coprime,
     _echelon,
+    _int_rows,
     _over,
     as_fraction,
     canonical_subspace_basis,
     dot,
-    independent_subset,
     in_span,
-    invert,
     mat,
     mat_vec,
     nullspace,
@@ -129,17 +129,33 @@ def test_canonical_subspace_basis_random_span_equality():
             assert in_span(mat(base), v, n)
 
 
-def test_invert():
-    assert invert(mat([[1, 1], [0, 1]])) == mat([[1, -1], [0, 1]])
-    assert invert(mat([[1, 2], [2, 4]])) is None
+def basis_inverse(M):
+    """`_basis_inverse` of the int rows d M, read back as (B, M_B^{-1}) over Fractions, or (B, None).
+
+    Its scale L is checked to be the least that makes the inverse integral.
+    """
+    d, A = _int_rows(M)
+    B, L, inverse = _basis_inverse(A)
+    if inverse is None:
+        return tuple(B), None
+    inv = tuple(_over([d * e for e in row], L) for row in inverse)
+    assert _int_rows(tuple(_over(row, L) for row in inverse))[0] == L
+    return tuple(B), inv
+
+
+def test_basis_inverse():
+    assert basis_inverse(mat([[1, 1], [0, 1]])) == ((0, 1), mat([[1, -1], [0, 1]]))
+    assert basis_inverse(mat([[1, 2], [2, 4]])) == ((0,), None)
     M = mat([[2, 1, 0], [1, 3, 1], [0, 1, 1]])
-    Minv = invert(M)
+    Minv = basis_inverse(M)[1]
     eye = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert mat([mat_vec(M, col) for col in transpose(Minv)]) == transpose(eye)
+    B, L, inverse = _basis_inverse([[1, 0], [2, 0], [0, 3]])
+    assert (B, L, inverse) == ([0, 2], 3, [[3, 0], [0, 1]])
 
 
 def greedy_independent_rows(rows):
-    """The first-wins rank loop that independent_subset replaced, as its oracle."""
+    """The first-wins rank loop, as the oracle of the rows B of `_basis_inverse`."""
     kept, staged = [], ()
     for i, row in enumerate(rows):
         if rank(staged + (row,)) > len(kept):
@@ -148,7 +164,7 @@ def greedy_independent_rows(rows):
     return tuple(kept)
 
 
-def test_independent_subset_matches_greedy_rank_loop():
+def test_basis_rows_match_greedy_rank_loop():
     rng = random.Random(8842)
     for _ in range(80):
         cols = rng.randint(1, 5)
@@ -158,14 +174,15 @@ def test_independent_subset_matches_greedy_rank_loop():
             coeffs = [rng.randint(-2, 2) for _ in base]
             rows.append([sum(c * b[i] for c, b in zip(coeffs, base)) for i in range(cols)])
         M = mat(rows)
-        assert independent_subset(M) == greedy_independent_rows(M)
-        assert len(independent_subset(M)) == rank(M)
+        B = basis_inverse(M)[0]
+        assert B == greedy_independent_rows(M)
+        assert len(B) == rank(M)
 
 
 def test_misc_helpers():
     assert dot(vec([1, 2]), vec([3, 4])) == 11
     assert support(vec([0, 5, 0, -1])) == frozenset({2, 4})
-    assert independent_subset(mat([[1, 0], [2, 0], [0, 1]])) == (0, 2)
+    assert basis_inverse(mat([[1, 0], [2, 0], [0, 1]])) == ((0, 2), mat([[1, 0], [0, 1]]))
     R, piv = rref(mat([[0, 2], [1, 1]]))
     assert piv == (0, 1) and R == mat([[1, 0], [0, 1]])
     assert rank(F4) == 3
@@ -288,13 +305,14 @@ def test_integer_kernel_matches_fraction_oracle():
         assert null == oracle_nullspace(M) and all_fractions(null)
         basis = canonical_subspace_basis(M, cols)
         assert basis == oracle_canonical(M, cols) and all_fractions(basis)
-        assert independent_subset(M) == oracle_rref(transpose(M))[1]
+        assert basis_inverse(M)[0] == oracle_rref(transpose(M))[1]
         b = tuple(random_entry(rng) for _ in range(rows))
         x = solve_linear(M, b)
         assert x == oracle_solve(M, b) and (x is None or all_fractions(x))
         S = random_matrix(rng, cols, cols)  # singular when a row is scaled or zeroed
-        inv = invert(S)
+        B, inv = basis_inverse(S)
         assert inv == oracle_invert(S) and (inv is None or all_fractions(inv))
+        assert (inv is None) == (len(B) < cols)
     assert len(shapes) >= 500
 
 
@@ -302,9 +320,9 @@ def test_integer_kernel_on_edge_shapes():
     zero = mat([[0, 0, 0], [0, 0, 0]])
     assert rref(zero) == oracle_rref(zero) == (zero, ())
     assert nullspace(zero) == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert invert(mat([["-2/3"]])) == mat([["-3/2"]])
-    assert invert(mat([[0]])) is None
-    assert invert(()) == ()
+    assert basis_inverse(mat([["-2/3"]])) == ((0,), mat([["-3/2"]]))
+    assert basis_inverse(mat([[0]])) == ((), None)
+    assert basis_inverse(()) == ((), ())
     assert rref(()) == ((), ())
     assert solve_linear(mat([["1/2", 0]]), vec([0])) == vec([0, 0])
 

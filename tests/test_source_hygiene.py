@@ -136,7 +136,7 @@ def test_no_bare_assert_in_the_certified_layers():
 
 # Helpers of `linalg` that build Fractions: calling one is a rational step too.
 FRACTION_BUILDERS = {
-    "dot", "mat_vec", "vadd", "vsub", "vscale", "primitive", "invert", "solve_linear", "_over", "_fractions"
+    "dot", "mat_vec", "vadd", "vsub", "vscale", "primitive", "solve_linear", "_over", "_fractions"
 }
 
 
@@ -172,9 +172,10 @@ def test_rational_steps_are_detected():
 
 def test_elimination_kernel_stays_on_integers():
     # The pivot and the eliminations built on it, the simplex loop and the LP
-    # solver around it, the cone test, double description, the construction
-    # of a space from its rows, the flat pass with its pieces, the atom test
-    # and the definition-route disjointness oracle run on integer rows; only
+    # solver around it, the cone test, the row basis with its inverse and the
+    # components read off it, double description, the construction of a
+    # space from its rows, the flat pass with its pieces, the atom test and
+    # the definition-route disjointness oracle run on integer rows; only
     # their callers build Fractions.
     kernel = (
         ("linalg", "_pivot"),
@@ -184,6 +185,9 @@ def test_elimination_kernel_stays_on_integers():
         ("lp", "_simplex"),
         ("lp", "_lp_nonneg"),
         ("cones", "in_cone"),
+        ("cones", "_basis_inverse"),
+        ("cones", "row_basis"),
+        ("cones", "components"),
         ("cones", "_rays"),
         ("cones", "_cut"),
         ("cones", "_representations"),
