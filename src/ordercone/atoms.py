@@ -23,14 +23,13 @@ from .bands import (
     Subspace,
     _by_carrier,
     _carrier,
-    _complement,
     _is_separator,
     _kernel_is_directed,
     _kernel_rows,
+    _span_closure,
     disjoint_complement,
     is_band,
     is_disjoint,
-    kernel_of_rows,
     positive_generators,
     vanish_set,
 )
@@ -239,19 +238,24 @@ class NoDecomposition:
 def decompose_by_atom(space: OrderedSpace, x: Vec, a: Vec):
     """Split x = lambda*a + w with w disjoint from the atom a, when possible.
 
-    Requires the principal band {a}^dd of a and its complement {a}^d =
-    ker F_s, s = supp(F a), to decompose the space ({a}^ddd = {a}^d, so two
-    complements give both).  Face rule for the split itself: w = x - lambda*a
-    lies in ker F_s iff F_s x = lambda F_s a, and F a has no zero on s, so
-    lambda is read crosswise off the two images.
+    Requires the principal band {a}^dd = ker F_{[m] - cl(s)} of a and its
+    complement {a}^d = ker F_s, s = supp(F a), to decompose the space (see
+    `bands.band_of`).  Closure rule: their dimensions n - r([m] - cl(s)) and
+    n - r(cl(s)) sum to n = r([m]) iff cl(s) is a separator, a union of the
+    matroid's components (Oxley, Matroid Theory, ch. 4), so one closure
+    decides it; the rank of the rest is computed only to report a failure.
+    Face rule for the split itself: w = x - lambda*a lies in ker F_s iff
+    F_s x = lambda F_s a, and F a has no zero on s, so lambda is read
+    crosswise off the two images.
     """
     if not is_atom(space, a):
         raise NotAtom("a must generate an extreme ray")
-    s, Bd = _complement(space, [a])
-    Ba = _complement(space, Bd)[1]
+    s = support(_image(space, a)[1])
+    closure, r = _span_closure(space, s)
     n = space.dim
-    if Ba.dim + Bd.dim != n:
-        return NoDecomposition(f"principal band and complement have dimensions {Ba.dim} + {Bd.dim} != {n}")
+    if not _is_separator(space, closure):
+        r_band = _span_closure(space, frozenset(range(1, space.m + 1)) - closure)[1]
+        return NoDecomposition(f"principal band and complement have dimensions {n - r_band} + {n - r} != {n}")
     _, (X, A) = _images(space, (x, a))
     j, *rest = sorted(s)
     if any(X[i - 1] * A[j - 1] != X[j - 1] * A[i - 1] for i in rest):
@@ -321,13 +325,15 @@ def is_projection_band(space: OrderedSpace, B) -> ProjectionReport:
     the subspace with its maximal zero set L and directedness.  When L is a
     union of components, ker F_L is a band (`_project`), so B is a band iff
     its carrier is ker F_L: L is B's maximal zero set, so ker F_L contains B,
-    and B^dd = ker F_L.  Any other L is no projection band, and only whether
+    and B^dd = ker F_L.  That is the closure rule of `bands.is_band`, as
+    [m] - L is a union of components too, so closed: B is a band iff
+    dim B = n - r(L).  Any other L is no projection band, and only whether
     B is a band is left to decide.
     """
     carrier = B.carrier if isinstance(B, Band) else B
     L = vanish_set(space, carrier)
     if _is_separator(space, L):
-        band = kernel_of_rows(space, L).basis == carrier.basis
+        band = carrier.dim == space.dim - _span_closure(space, L)[1]
     else:
         band = is_band(space, carrier)
     if not band:

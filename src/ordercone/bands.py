@@ -23,6 +23,7 @@ from .linalg import (
     _canonical_rows,
     _coprime,
     _fractions,
+    _kernel,
     _nullspace,
     _rank,
     canonical_subspace_basis,
@@ -129,10 +130,25 @@ def _as_vectors(M) -> tuple[Vec, ...]:
     return tuple(vec(v) for v in M)
 
 
-def _complement(space: OrderedSpace, M) -> tuple[frozenset[int], Subspace]:
-    """(J, ker F_J) for J the rows supporting M's images: the carrier of M^d."""
-    J = union_support(space, _as_vectors(M))
-    return J, kernel_of_rows(space, J)
+def _span_closure(space: OrderedSpace, J) -> tuple[frozenset[int], int]:
+    """(cl(J), r(J)) in the facet rows' matroid, from one elimination.
+
+    cl(J) is the set of rows that vanish on ker F_J and r(J) = n - dim ker F_J,
+    so both are read off the free-variable basis of ker F_J (`_kernel`); no
+    canonical basis is needed.  No facet row is zero, so cl(∅) = ∅.
+    """
+    if not J:
+        return frozenset(), 0
+    rows = space.int_facets[1]
+    basis = _kernel([rows[j - 1] for j in sorted(J)], space.dim)
+    closure = frozenset(j for j, f in enumerate(rows, 1) if not any(sum(map(mul, f, b)) for b in basis))
+    return closure, space.dim - len(basis)
+
+
+def _row_band(space: OrderedSpace, J: frozenset[int]) -> Band:
+    """The band ker F_J, carried with the zero set J."""
+    carrier = kernel_of_rows(space, J)
+    return Band(carrier, J, _kernel_is_directed(space, J, carrier.dim))
 
 
 def disjoint_complement(space: OrderedSpace, M) -> Band:
@@ -141,20 +157,31 @@ def disjoint_complement(space: OrderedSpace, M) -> Band:
     M may be a list of vectors, a Subspace, or a Band; the complement is the
     kernel of the rows supporting M's images (empty M complements to X).
     """
-    J, carrier = _complement(space, M)
-    return Band(carrier, J, _kernel_is_directed(space, J, carrier.dim))
+    return _row_band(space, union_support(space, _as_vectors(M)))
 
 
 def band_of(space: OrderedSpace, a: Vec) -> Band:
-    """The principal band {a}^dd."""
-    return disjoint_complement(space, _complement(space, [a])[1])
+    """The principal band {a}^dd = ker F_{[m] - cl(s)}, s = supp(F a).
+
+    Closure rule: {a}^d = ker F_s, and a row supports some image of ker F_s
+    iff it does not vanish on ker F_s, i.e. iff it lies outside cl(s).
+    """
+    s = support(_image(space, a)[1])
+    return _row_band(space, frozenset(range(1, space.m + 1)) - _span_closure(space, s)[0])
 
 
 def is_band(space: OrderedSpace, D) -> bool:
-    """Whether D equals its double disjoint complement."""
+    """Whether D equals its double disjoint complement.
+
+    Closure rule: D is a band iff dim D = n - r([m] - cl(J)), J = supp(F D).
+    D^d = ker F_J, and the rows supporting its images are those outside
+    cl(J), so D^dd = ker F_{[m] - cl(J)}, which contains D; the two are
+    equal iff their dimensions are.
+    """
     if isinstance(D, Band):
         D = D.carrier
-    return _complement(space, _complement(space, D)[1])[1].basis == D.basis
+    closure = _span_closure(space, union_support(space, D.basis))[0]
+    return D.dim == space.dim - _span_closure(space, frozenset(range(1, space.m + 1)) - closure)[1]
 
 
 def _kernel_is_directed(space: OrderedSpace, J, dim: int) -> bool:

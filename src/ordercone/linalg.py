@@ -6,7 +6,8 @@ scaled to Python ints, one fraction-free pivot at a time (`_pivot`), and
 divides by the pivot entries only when it hands back Fractions.  The public
 functions take and return Fractions: each scales its rows once to coprime
 ints (`_coprime`) and calls the integer kernel.  Callers that already hold
-int rows call the integer forms `_echelon`, `_rank` and `_nullspace`.
+int rows call the integer forms `_echelon`, `_rank`, `_kernel` and
+`_nullspace`.
 """
 
 from __future__ import annotations
@@ -235,9 +236,19 @@ def nullspace(A: Mat) -> Mat:
 def _nullspace(rows, n: int) -> list[list[int]]:
     """The rows of `nullspace` for int rows with n columns, as primitive int rows.
 
-    The free-variable basis of the kernel is not the canonical one (for
-    A = [[1, 1, 1]] it is (-1, 1, 0), (-1, 0, 1), against (1, 0, -1),
-    (0, 1, -1)), so its rows are eliminated once more by `_canonical_rows`.
+    The free-variable basis of the kernel (`_kernel`) is not the canonical
+    one (for A = [[1, 1, 1]] it is (-1, 1, 0), (-1, 0, 1), against
+    (1, 0, -1), (0, 1, -1)), so its rows are eliminated once more by
+    `_canonical_rows`.
+    """
+    return _canonical_rows(_kernel(rows, n))
+
+
+def _kernel(rows, n: int) -> list[list[int]]:
+    """The free-variable basis of the kernel of int rows with n columns, from one elimination.
+
+    One primitive int row per free column of the RREF.  Callers that need
+    only the kernel's dimension or the rows vanishing on it take it as is.
     """
     rows, pivots = _echelon(rows)
     free = [c for c in range(n) if c not in pivots]
@@ -253,7 +264,7 @@ def _nullspace(rows, n: int) -> list[list[int]]:
             v[pc] = -row[fc] * (scale // row[pc])
         g = gcd(*v)
         basis.append([e // g for e in v])
-    return _canonical_rows(basis)
+    return basis
 
 
 def canonical_subspace_basis(vectors: Mat, n: int) -> Mat:

@@ -7,12 +7,13 @@ from itertools import combinations
 import pytest
 
 from ordercone import linalg
-from ordercone.atoms import ProjectionReport, enumerate_order_projections, is_projection_band
+from ordercone.atoms import ProjectionReport, decompose_by_atom, enumerate_order_projections, is_projection_band
 from ordercone.bands import (
     DEFAULT_ENUMERATION_CAP,
     Band,
     _flats,
     _kernel_is_directed,
+    _span_closure,
     band_of,
     disjoint_complement,
     disjoint_eq1_oracle,
@@ -282,14 +283,18 @@ def test_extend_restrict_frozen():
 
 def test_band_calculus_random():
     rng = random.Random(30503)
+    pick = random.Random(30515)  # draws the principal-band probes, leaving rng's stream as it was
     for _ in range(40):
         sp = random_space(rng)
         k = rng.randint(0, sp.dim)
         D = subspace(sp.dim, [random_vector(rng, sp.dim, -2, 2) for _ in range(k)])
         comp = disjoint_complement(sp, D)
         dd = disjoint_complement(sp, comp)
-        # D sits inside its double complement
+        # D sits inside its double complement, and is a band iff it is all of it
         assert all(dd.carrier.contains(b) for b in D.basis)
+        assert is_band(sp, D) == (dd.carrier.basis == D.basis)
+        a = random_vector(pick, sp.dim, -2, 2)
+        assert band_of(sp, a) == disjoint_complement(sp, disjoint_complement(sp, [a]))
         # the complement is already a fixed point: D^d = D^ddd
         ddd = disjoint_complement(sp, dd)
         assert ddd.carrier.basis == comp.carrier.basis
@@ -413,6 +418,14 @@ def oracle_spaces():
         + [simplex(n) for n in range(1, 6)]
         + [random_space(rng) for _ in range(10)]
     )
+
+
+def test_span_closure_matches_the_canonical_kernel():
+    for sp in oracle_spaces():
+        for mask in range(1 << sp.m):
+            J = frozenset(j + 1 for j in range(sp.m) if mask >> j & 1)
+            K = kernel_of_rows(sp, J)
+            assert _span_closure(sp, J) == (vanish_set(sp, K), sp.dim - K.dim), (sp.name, J)
 
 
 def test_enumerate_bands_equals_subset_sweep():
@@ -697,7 +710,8 @@ def test_band_layer_elimination_counts(monkeypatch):
     Each count is taken on a fresh space whose `components` are already
     cached, so it measures the call alone; a change that adds eliminations
     shows here as a changed count.  The atom-band count is summed over the
-    space's atoms.
+    space's atoms, as are the decomposition count (one split of each atom
+    by itself) and the count of `is_band` on the atom bands.
     """
     calls = [0]
     echelon = linalg._echelon
@@ -715,10 +729,17 @@ def test_band_layer_elimination_counts(monkeypatch):
         probe(sp)
         return calls[0]
 
+    def atom_band_tests(sp):
+        bands = [band_of(sp, a) for a in sp.generators]
+        calls[0] = 0  # count the is_band calls alone
+        return [is_band(sp, band) for band in bands]
+
     probes = {
         "enumerate_bands": enumerate_bands,
         "enumerate_order_projections": enumerate_order_projections,
         "atom bands": lambda sp: [is_projection_band(sp, band_of(sp, a)) for a in sp.generators],
+        "atom decompositions": lambda sp: [decompose_by_atom(sp, a, a) for a in sp.generators],
+        "atom band tests": atom_band_tests,
     }
     spaces = {
         "four-ray": four_ray,
@@ -729,11 +750,17 @@ def test_band_layer_elimination_counts(monkeypatch):
     assert got == {
         ("four-ray", "enumerate_bands"): 12,
         ("four-ray", "enumerate_order_projections"): 1,
-        ("four-ray", "atom bands"): 36,
+        ("four-ray", "atom bands"): 24,
+        ("four-ray", "atom decompositions"): 8,
+        ("four-ray", "atom band tests"): 8,
         ("simplex:5", "enumerate_bands"): 46,
         ("simplex:5", "enumerate_order_projections"): 41,
-        ("simplex:5", "atom bands"): 35,
+        ("simplex:5", "atom bands"): 25,
+        ("simplex:5", "atom decompositions"): 5,
+        ("simplex:5", "atom band tests"): 10,
         ("four-ray^3", "enumerate_bands"): 532,
         ("four-ray^3", "enumerate_order_projections"): 13,
-        ("four-ray^3", "atom bands"): 108,
+        ("four-ray^3", "atom bands"): 72,
+        ("four-ray^3", "atom decompositions"): 24,
+        ("four-ray^3", "atom band tests"): 24,
     }

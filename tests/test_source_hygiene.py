@@ -11,8 +11,8 @@ import ordercone
 PACKAGE = Path(ordercone.__file__).parent
 TESTS = Path(__file__).parent
 
-# Modules whose checks must survive `python -O`.
-NO_ASSERT = ("linalg", "lp", "cones", "bands", "atoms", "cover", "seqspace")
+# Every module of the package: its checks must survive `python -O`.
+NO_ASSERT = tuple(sorted(p.stem for p in PACKAGE.glob("*.py")))
 
 
 def tree(path: Path) -> ast.Module:
@@ -174,13 +174,14 @@ def test_elimination_kernel_stays_on_integers():
     # The pivot and the eliminations built on it, the simplex loop and the LP
     # solver around it, the cone test, the row basis with its inverse and the
     # components read off it, double description, the construction of a
-    # space from its rows, the flat pass with its pieces, the atom test and
-    # the definition-route disjointness oracle run on integer rows; only
-    # their callers build Fractions.
+    # space from its rows, the flat pass with its pieces, the closure and
+    # rank of a row set, the atom test and the definition-route disjointness
+    # oracle run on integer rows; only their callers build Fractions.
     kernel = (
         ("linalg", "_pivot"),
         ("linalg", "_echelon"),
         ("linalg", "_rank"),
+        ("linalg", "_kernel"),
         ("linalg", "_nullspace"),
         ("lp", "_simplex"),
         ("lp", "_lp_nonneg"),
@@ -193,6 +194,7 @@ def test_elimination_kernel_stays_on_integers():
         ("cones", "_representations"),
         ("bands", "_flats"),
         ("bands", "_cut_piece"),
+        ("bands", "_span_closure"),
         ("bands", "disjoint_eq1_oracle"),
         ("atoms", "is_atom"),
     )
