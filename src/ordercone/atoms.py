@@ -282,40 +282,58 @@ def _show(v: Vec) -> str:
     return "[" + ", ".join(map(str, v)) + "]"
 
 
+def _check_components(space: OrderedSpace, indices) -> None:
+    """Check the cached projections Π_C of the components with these indices.
+
+    Each Π_C is the certificate of its component, checked by one identity
+    F Π_C = E_C F, with E_C keeping the rows in C and setting the rest to 0.
+    The check runs on Python ints: with (S, S Π_C) from
+    `component_projections` and (d, d F) the space's `int_facets`, it reads
+    (d F) (S Π_C) = S E_C (d F), and holds iff the rational identity does.
+    A failed check raises CertificateError.
+    """
+    S, projections = space.component_projections
+    d, F_I = space.int_facets
+    zero = [0] * space.dim
+    for t in indices:
+        C = space.components[t]
+        cols = list(zip(*projections[t]))
+        for j, f in enumerate(F_I, 1):
+            if [sum(map(mul, f, col)) for col in cols] != ([S * e for e in f] if j in C else zero):
+                raise CertificateError(f"the projection of component {t + 1} breaks F P = E_C F at facet row {j}")
+
+
+def _sum_components(space: OrderedSpace, indices) -> Mat:
+    """The sum of the projections Π_C of the components with these indices, as Fractions.
+
+    The zero matrix is one more summand, so that the empty sum is 0.
+    """
+    S, projections = space.component_projections
+    zero = ((0,) * space.dim,) * space.dim
+    return tuple(_over(list(map(sum, zip(*rows))), S) for rows in zip(zero, *[projections[t] for t in indices]))
+
+
 def _project(space: OrderedSpace, B: Band, L: frozenset[int]) -> ProjectionReport:
-    """Build the projection onto the band B = ker F_L along ker F_{[m]-L}, and check it.
+    """The projection onto the band B = ker F_L along ker F_{[m]-L}, checked.
 
     L is the band's maximal zero set.  The band is a projection band iff L is
     a union of the matroid's components (`OrderedSpace.components`), i.e.
-    iff r(L) + r([m] - L) = n.  Then the rows R of the space's one row
-    basis (`row_basis`) split into bases of the rows in L and of the rest,
-    and P = F_R^{-1} E F_R, with E dropping the basis rows in L, is the
-    projection.  P is the certificate, checked by one identity F P = E_L F,
-    with E_L setting the rows in L to 0: F P x is F x with the rows of L set
-    to 0.  It implies the rest.  P is idempotent, as
-    F P P = E_L F P = E_L E_L F = E_L F = F P and F is injective; its range
-    and kernel are ker F_L and ker F_{[m]-L}; and it keeps P g and g - P g
-    positive for g >= 0, as their images E_L F g and F g - E_L F g split
-    F g >= 0.  A failed check raises CertificateError.
-
-    The check runs on Python ints.  With (D, D F_R^{-1}) from `row_basis`
-    and (d, d F) the space's `int_facets`, P_I = (D F_R^{-1}) E (d F_R) is
-    S P for S = D d, and the identity reads (d F) P_I = S E_L (d F).  It
-    holds iff the rational identity does.
+    iff r(L) + r([m] - L) = n.  Then the projection P is the sum of the
+    projections Π_C of the components C outside L
+    (`OrderedSpace.component_projections`), and each of them is checked on
+    this call (`_check_components`).  By linearity the sum satisfies
+    F P = E_L F, with E_L setting the rows in L to 0: F P x is F x with the
+    rows of L set to 0.  That identity implies the rest.  P is idempotent,
+    as F P P = E_L F P = E_L E_L F = E_L F = F P and F is injective; its
+    range and kernel are ker F_L and ker F_{[m]-L}; and it keeps P g and
+    g - P g positive for g >= 0, as their images E_L F g and F g - E_L F g
+    split F g >= 0.
     """
     if not _is_separator(space, L):
         return ProjectionReport(B, False, None)
-    R, D, Rinv, _ = space.row_basis
-    d, F_I = space.int_facets
-    kept = [(t, F_I[i]) for t, i in enumerate(R) if i + 1 not in L]
-    P = [[sum(row[t] * f[c] for t, f in kept) for c in range(space.dim)] for row in Rinv]
-    S = D * d
-    cols = list(zip(*P))
-    zero = [0] * space.dim
-    for j, f in enumerate(F_I, 1):
-        if [sum(map(mul, f, col)) for col in cols] != (zero if j in L else [S * e for e in f]):
-            raise CertificateError(f"band projection breaks F P = E_L F at facet row {j}")
-    return ProjectionReport(B, True, tuple(_over(row, S) for row in P))
+    outside = [t for t, C in enumerate(space.components) if not C & L]
+    _check_components(space, outside)
+    return ProjectionReport(B, True, _sum_components(space, outside))
 
 
 def is_projection_band(space: OrderedSpace, B) -> ProjectionReport:
@@ -327,13 +345,18 @@ def is_projection_band(space: OrderedSpace, B) -> ProjectionReport:
     its carrier is ker F_L: L is B's maximal zero set, so ker F_L contains B,
     and B^dd = ker F_L.  That is the closure rule of `bands.is_band`, as
     [m] - L is a union of components too, so closed: B is a band iff
-    dim B = n - r(L).  Any other L is no projection band, and only whether
-    B is a band is left to decide.
+    dim B = n - r(L).  Here r(L) is read off the space's one row basis R
+    (`row_basis`) with no elimination: |R ∩ L| + |R - L| = n, and each part
+    is at most the rank of its side, so for a union of components, where
+    r(L) + r([m] - L) = n, both are equalities and r(L) = |R ∩ L|.  Any
+    other L is no projection band, and only whether B is a band is left to
+    decide.  The projection is the sum of the checked projections of the
+    components outside L (`_project`).
     """
     carrier = B.carrier if isinstance(B, Band) else B
     L = vanish_set(space, carrier)
     if _is_separator(space, L):
-        band = carrier.dim == space.dim - _span_closure(space, L)[1]
+        band = carrier.dim == space.dim - sum(i + 1 in L for i in space.row_basis[0])
     else:
         band = is_band(space, carrier)
     if not band:
@@ -349,22 +372,30 @@ def enumerate_order_projections(space: OrderedSpace, cap: int = DEFAULT_ENUMERAT
     The projection bands are the kernels of the 2^c unions L of the c
     components, so {0, X} always appears.  The kernel of L is the sum of the
     pieces ker F_{[m]-C} of the components C outside L, so each carrier is
-    the canonical basis of one union of the c pieces.  Each band is directed,
-    since P maps the generating cone onto its positive part.  Refuses c > cap
+    the canonical basis of one union of the c pieces, and each projection is
+    the sum of the projections Π_C of those components.  All c of the Π_C
+    are checked once on this call (`_check_components`), and each sum
+    inherits the check, as in `_project`.  Each band is directed, since P
+    maps the generating cone onto its positive part.  Refuses c > cap
     (CapExceeded); c <= m, so no space with at most cap facets is refused.
     """
     comps = space.components
     if len(comps) > cap:
         raise CapExceeded(f"order projections over 2^{len(comps)} unions of components exceed 2^{cap}")
+    _check_components(space, range(len(comps)))
     full = frozenset(range(1, space.m + 1))
     pieces = [_kernel_rows(space, full - C) for C in comps]
     found = []
     for mask in range(1 << len(comps)):
         L = frozenset().union(*[C for t, C in enumerate(comps) if mask >> t & 1])
-        rows = _canonical_rows(list(chain.from_iterable(b for t, b in enumerate(pieces) if not mask >> t & 1)))
-        found.append((rows, L))
+        outside = [t for t in range(len(comps)) if not mask >> t & 1]
+        rows = _canonical_rows(list(chain.from_iterable(pieces[t] for t in outside)))
+        found.append((rows, L, outside))
     found.sort(key=_by_carrier)
-    return tuple(_project(space, Band(_carrier(space, rows), L, True), L) for rows, L in found)
+    return tuple(
+        ProjectionReport(Band(_carrier(space, rows), L, True), True, _sum_components(space, outside))
+        for rows, L, outside in found
+    )
 
 
 # --- Riesz decomposition probes ----------------------------------------------

@@ -391,19 +391,26 @@ def restrict_band(space: OrderedSpace, J) -> Subspace:
 
     A band whenever the space is fordable; in general only a subspace.
     """
-    J = set(J)
-    if not J <= set(range(1, space.m + 1)):
+    return kernel_of_rows(space, _outside(space, J))
+
+
+def _outside(space: OrderedSpace, J) -> frozenset[int]:
+    """[m] - J for a set J of facet rows; a J outside 1..m is refused."""
+    full = frozenset(range(1, space.m + 1))
+    J = frozenset(J)
+    if not J <= full:
         raise ParseError(f"J must be a subset of 1..{space.m}")
-    return kernel_of_rows(space, set(range(1, space.m + 1)) - J)
+    return full - J
 
 
 def restriction_is_projection_band(space: OrderedSpace, J) -> bool:
     """Whether the restriction of the coordinate band with support J is a projection band.
 
     The restriction ker F_{[m]-J} is the kernel of the flat L = cl([m] - J),
-    its maximal zero set.  It is a projection band iff L is a separator, a
-    union of components: then [m] - L is a union of components too, so a
-    flat, and L = cl([m] - cl([m] - L)) makes the kernel a band, whose
-    projection `atoms.is_projection_band` builds.
+    its maximal zero set, which one elimination gives (`_span_closure`).  It
+    is a projection band iff L is a separator, a union of components: then
+    [m] - L is a union of components too, so a flat, and
+    L = cl([m] - cl([m] - L)) makes the kernel a band, whose projection
+    `atoms.is_projection_band` builds.
     """
-    return _is_separator(space, vanish_set(space, restrict_band(space, J)))
+    return _is_separator(space, _span_closure(space, _outside(space, J))[0])

@@ -145,7 +145,7 @@ class OrderedSpace:
     holds supp(F g) for each generator g, in generator order: which atoms lie
     in which face.  It is derived from the two fields before it, so it takes
     no part in equality or repr; nor do the cached `int_facets`, `row_basis`,
-    `int_generators` and `components`.
+    `int_generators`, `components` and `component_projections`.
     `build_space` fills `int_facets` and `int_generators` from the int rows
     it built.
     """
@@ -210,6 +210,25 @@ class OrderedSpace:
             touching = [c for c in comps if c & linked]
             comps = [c for c in comps if not c & linked] + [linked.union(*touching)]
         return tuple(sorted(map(frozenset, comps), key=min))
+
+    @cached_property
+    def component_projections(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(S, (S Π_C for each component C)): the components' projections, as int rows over one scale S > 0.
+
+        Π_C is the projection onto ker F_{[m]-C} along ker F_C, in the order
+        of `components`.  With (R, D, D F_R^{-1}, _) = `row_basis` and
+        (d, d F) = `int_facets`, S Π_C = (D F_R^{-1}) E_C (d F_R) for S = D d,
+        where E_C keeps the basis rows in C.  Each row of R lies in one
+        component, so the Π_C sum to the identity.  Nothing here checks them;
+        `atoms._check_components` does, on every call that returns a sum of them.
+        """
+        R, D, inverse, _ = self.row_basis
+        d, A = self.int_facets
+        out = []
+        for C in self.components:
+            kept = [(t, A[i]) for t, i in enumerate(R) if i + 1 in C]
+            out.append(tuple(tuple(sum(row[t] * f[c] for t, f in kept) for c in range(self.dim)) for row in inverse))
+        return D * d, tuple(out)
 
 
 def _clean_rows(rows, dim: int, what: str) -> list[tuple[int, ...]]:

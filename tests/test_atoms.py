@@ -87,7 +87,7 @@ from ordercone.linalg import (
 )
 from ordercone.lp import Infeasible, Optimal, Polyhedron, lp, lp_nonneg
 from ordercone.selftest import _atom_triple, _split_exists
-from test_bands import direct_sum
+from test_bands import direct_sum, flat_pass_projections, oracle_spaces
 from test_cover import moment_cone
 from test_linalg import oracle_invert, oracle_rref
 
@@ -948,6 +948,88 @@ def test_integer_certificate_catches_a_corrupted_row_basis():
     assert res.stdout.count("CertificateError:") == 2
 
 
+def test_integer_certificate_catches_a_corrupted_component_projection():
+    """Under python -O a wrong cached Π_C fails the check of every call that sums it."""
+    script = "\n".join(
+        [
+            "from ordercone.atoms import enumerate_order_projections, is_projection_band",
+            "from ordercone.bands import kernel_of_rows",
+            "from ordercone.cones import build_space",
+            "from ordercone.errors import CertificateError",
+            "assert False, 'asserts must be stripped'",
+            "four = [[1, 0, 1, 0, 0], [-1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, -1, 1, 0, 0]]",
+            "gens = four + [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]",
+            "sp = build_space(5, generators=gens, name='four-ray + simplex:2')",
+            "comps = sp.components",
+            "if len(comps) != 3:",
+            "    raise SystemExit('expected three components')",
+            "S, projections = sp.component_projections",
+            "P = projections[1]",
+            "bad = (tuple(e + 1 if c == 0 else e for c, e in enumerate(P[0])),) + P[1:]",
+            "sp.__dict__['component_projections'] = (S, (projections[0], bad, projections[2]))",
+            "full = frozenset(range(1, sp.m + 1))",
+            "piece = kernel_of_rows(sp, full - comps[1])",
+            "whole = kernel_of_rows(sp, ())",
+            "for probe in (lambda: enumerate_order_projections(sp),",
+            "              lambda: is_projection_band(sp, piece),",
+            "              lambda: is_projection_band(sp, whole)):",
+            "    try:",
+            "        probe()",
+            "    except CertificateError as exc:",
+            "        print('CertificateError:', exc)",
+            "    else:",
+            "        raise SystemExit('no CertificateError')",
+            "# A band whose sum leaves the corrupted component out is still answered.",
+            "rest = kernel_of_rows(sp, comps[1])",
+            "if not is_projection_band(sp, rest).is_projection_band:",
+            "    raise SystemExit('the band without component 2 lost its projection')",
+        ]
+    )
+    src = str(Path(ordercone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert res.stdout.count("CertificateError:") == 3
+    assert res.stdout.count("the projection of component 2 ") == 3
+
+
+ROW_FACTORS = (Fraction(1, 2), Fraction(3, 4), Fraction(5, 3), Fraction(2, 7), Fraction(9, 5), Fraction(4))
+
+
+def rescale_rows(sp):
+    """The space with facet row j scaled by ROW_FACTORS[j mod 6]: the same order, another `int_facets` scale."""
+    return replace(sp, F=tuple(tuple(e * ROW_FACTORS[j % len(ROW_FACTORS)] for e in f) for j, f in enumerate(sp.F)))
+
+
+def int_product(A, B):
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*B)) for row in A)
+
+
+def test_component_projections_are_complementary_idempotents():
+    # On ints, with scale S: the S Π_C sum to S I, S Π_C S Π_C = S (S Π_C),
+    # and S Π_C S Π_C' = 0 for C != C'; the sums per union are still the
+    # oracle's projections.
+    rng = random.Random(40620)
+    spaces = oracle_spaces() + [
+        direct_sum(four_ray(), simplex(2), scramble=random_unimodular(rng, 5)),
+        direct_sum(four_ray(), pentagon(), simplex(1), scramble=random_unimodular(rng, 7)),
+    ]
+    spaces += [rescale_rows(sp) for sp in (four_ray(), simplex(3), direct_sum(four_ray(), simplex(2)))]
+    for sp in spaces:
+        S, projections = sp.component_projections
+        assert len(projections) == len(sp.components), sp.name
+        n = sp.dim
+        total = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*projections))
+        assert total == tuple(tuple(S * int(i == j) for j in range(n)) for i in range(n)), sp.name
+        for (s, P), (t, Q) in combinations(enumerate(projections), 2):
+            assert int_product(P, Q) == int_product(Q, P) == ((0,) * n,) * n, (sp.name, s, t)
+        for P in projections:
+            assert int_product(P, P) == tuple(tuple(S * e for e in row) for row in P), sp.name
+        assert enumerate_order_projections(sp) == flat_pass_projections(sp), sp.name
+
+
 def test_bands_and_projections_ignore_facet_row_scaling():
     # A directly built space may carry non-integral facet rows: halving every
     # row changes no band, no projection band and no projection.
@@ -968,10 +1050,9 @@ def test_split_sup_and_projections_ignore_per_row_facet_scaling():
     # so every answer, unchanged; it changes the denominator d of
     # `int_facets` that the row basis folds in.
     rng = random.Random(40619)
-    factors = (Fraction(1, 2), Fraction(3, 4), Fraction(5, 3), Fraction(2, 7), Fraction(9, 5), Fraction(4))
     found = {"split": 0, "no split": 0, "sup": 0, "no sup": 0}
     for sp in (four_ray(), simplex(3), direct_sum(four_ray(), simplex(2))):
-        scaled = replace(sp, F=tuple(tuple(e * factors[j % len(factors)] for e in f) for j, f in enumerate(sp.F)))
+        scaled = rescale_rows(sp)
         assert scaled.int_facets[0] > 1
         assert enumerate_order_projections(scaled) == enumerate_order_projections(sp), sp.name
         for _ in range(30):

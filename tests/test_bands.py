@@ -12,6 +12,7 @@ from ordercone.bands import (
     DEFAULT_ENUMERATION_CAP,
     Band,
     _flats,
+    _is_separator,
     _kernel_is_directed,
     _span_closure,
     band_of,
@@ -620,6 +621,31 @@ def test_restriction_is_projection_band_on_every_support():
     assert answers == {True, False}
 
 
+def test_restriction_is_projection_band_matches_the_kernel_route():
+    # The oracle is the route the one-closure rule replaced: build the
+    # canonical kernel of the restriction and read its maximal zero set.
+    rng = random.Random(30514)
+    spaces = [
+        four_ray(),
+        simplex(3),
+        simplex(4),
+        direct_sum(four_ray(), simplex(2)),
+        direct_sum(pentagon(), simplex(1), scramble=random_unimodular(rng, 4)),
+    ]
+    spaces += [random_polygon_space(rng, m) for m in range(4, 8)] + [random_space(rng) for _ in range(20)]
+    answers = {True: 0, False: 0}
+    for sp in spaces:
+        for k in range(sp.m + 1):
+            for J in combinations(range(1, sp.m + 1), k):
+                expected = _is_separator(sp, vanish_set(sp, restrict_band(sp, J)))
+                assert restriction_is_projection_band(sp, J) == expected, (sp.name, J)
+                answers[expected] += 1
+    assert min(answers.values()) >= 100, answers
+    for bad in ([0], [1, 5]):
+        with pytest.raises(ParseError, match=r"^J must be a subset of 1\.\.4$"):
+            restriction_is_projection_band(four_ray(), bad)
+
+
 def test_restriction_directedness_face_rule_matches_double_description():
     answers = set()
     for sp in projection_spaces():
@@ -755,7 +781,7 @@ def test_band_layer_elimination_counts(monkeypatch):
         ("four-ray", "atom band tests"): 8,
         ("simplex:5", "enumerate_bands"): 46,
         ("simplex:5", "enumerate_order_projections"): 41,
-        ("simplex:5", "atom bands"): 25,
+        ("simplex:5", "atom bands"): 20,
         ("simplex:5", "atom decompositions"): 5,
         ("simplex:5", "atom band tests"): 10,
         ("four-ray^3", "enumerate_bands"): 532,

@@ -172,11 +172,12 @@ def test_rational_steps_are_detected():
 
 def test_elimination_kernel_stays_on_integers():
     # The pivot and the eliminations built on it, the simplex loop and the LP
-    # solver around it, the cone test, the row basis with its inverse and the
-    # components read off it, double description, the construction of a
-    # space from its rows, the flat pass with its pieces, the closure and
-    # rank of a row set, the atom test and the definition-route disjointness
-    # oracle run on integer rows; only their callers build Fractions.
+    # solver around it, the cone test, the row basis with its inverse, the
+    # components read off it and their projections with the check of those,
+    # double description, the construction of a space from its rows, the
+    # flat pass with its pieces, the closure and rank of a row set, the atom
+    # test and the definition-route disjointness oracle run on integer rows;
+    # only their callers build Fractions.
     kernel = (
         ("linalg", "_pivot"),
         ("linalg", "_echelon"),
@@ -189,6 +190,7 @@ def test_elimination_kernel_stays_on_integers():
         ("cones", "_basis_inverse"),
         ("cones", "row_basis"),
         ("cones", "components"),
+        ("cones", "component_projections"),
         ("cones", "_rays"),
         ("cones", "_cut"),
         ("cones", "_representations"),
@@ -197,6 +199,7 @@ def test_elimination_kernel_stays_on_integers():
         ("bands", "_span_closure"),
         ("bands", "disjoint_eq1_oracle"),
         ("atoms", "is_atom"),
+        ("atoms", "_check_components"),
     )
     assert {f"{m}.{f}": rational_steps(function(m, f)) for m, f in kernel} == {f"{m}.{f}": [] for m, f in kernel}
 
