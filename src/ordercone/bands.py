@@ -208,7 +208,7 @@ def positive_generators(space: OrderedSpace, D: Subspace) -> tuple[Vec, ...]:
     images = _images(space, D.basis)[1]
     return tuple(
         tuple(sum((c_i * b[k] for c_i, b in zip(c, D.basis)), start=ZERO) for k in range(space.dim))
-        for c in _rays([_coprime(row) for row in zip(*images)])
+        for c, _ in _rays([_coprime(row) for row in zip(*images)])
     )
 
 

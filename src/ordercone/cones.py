@@ -7,14 +7,16 @@ lattice Q^m, which is how every order-theoretic question downstream becomes
 finite arithmetic.
 
 That arithmetic runs on Python ints.  `build_space` converts each input row
-once to a primitive int row; its ranks, its double descriptions (`_rays`,
-which carries every ray as a primitive int row), its set comparisons and
-its cross-check of the two representations run on those, and Fractions are
-built only for the space's fields.  Each space caches its facet matrix as a
-common denominator D and the int rows D F (`OrderedSpace.int_facets`); a
-vector x is scaled once to ints d x, so that D d F x is a row of int sums
-(`_image`).  Signs and supports are read off those sums, and a `Fraction`
-is built only for a value that is handed back.
+once to a primitive int row and runs one double description on those
+(`_rays`, which carries every ray as a primitive int row with its zero set
+over the input rows as a bit mask).  The input's rank is read off the
+seed's pivots, and pointedness and redundancy off those masks; the set
+comparisons and the cross-check of the two representations run on ints
+too, and Fractions are built only for the space's fields.  Each space
+caches its facet matrix as a common denominator D and the int rows D F
+(`OrderedSpace.int_facets`); a vector x is scaled once to ints d x, so that
+D d F x is a row of int sums (`_image`).  Signs and supports are read off
+those sums, and a `Fraction` is built only for a value that is handed back.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .linalg import (
     _int_rows,
     _ints,
     _over,
-    _rank,
     support,
     transpose,
     vec,
@@ -50,7 +51,7 @@ MAX_DIM = 256
 # The most generator rows, and the most facet rows, a space may be given,
 # counted as given.  Double description of a (t, t^2, 1) polygon cone grows
 # about 4x per doubling of the rows; built from 1024 generators it took
-# 1.5 s (640: 0.57 s) on a 2-core Xeon VM under Python 3.11.
+# 0.77 s (640: 0.31 s) on a 2-core Xeon VM under Python 3.11.
 MAX_ROWS = 1024
 
 
@@ -75,25 +76,27 @@ def _basis_inverse(A) -> tuple[list[int], int, list[list[int]] | None]:
     return B, L, [[e * (L // row[k]) for e in row[n:]] for k, row in enumerate(rows)]
 
 
-def _rays(A) -> list[tuple[int, ...]]:
-    """Extreme rays of {x : A x >= 0} for coprime int rows A, as sorted primitive int tuples.
+def _rays(A, basis=None) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of {x : A x >= 0} for coprime int rows A, each with its zero set, sorted.
 
-    Requires rank A = n, the cone being pointed.  Double description: seed
-    with the rows B of `_basis_inverse`, a simplicial cone whose rays are
-    the columns of A_B^{-1}, each made primitive, then cut with the
+    Each ray is a primitive int tuple, paired with the bit mask of the rows
+    of A that vanish on it.  Requires rank A = n, the cone being pointed.
+    Double description: seed with the rows B of `_basis_inverse(A)` (passed
+    as `basis` by a caller that already has it), a simplicial cone whose
+    rays are the columns of A_B^{-1}, each made primitive, then cut with the
     remaining rows in input order (`_cut`).
     """
-    seed, _, inverse = _basis_inverse(A)
+    seed, _, inverse = _basis_inverse(A) if basis is None else basis
     if inverse is None:
         raise ValueError("double description needs a pointed cone (rank deficient input)")
     rays = []
     for col in zip(*inverse):
         g = gcd(*col)
         rays.append([e // g for e in col])
-    return sorted(set(_cut(A, seed, rays)))
+    return sorted(_cut(A, seed, rays))
 
 
-def _cut(A, seed: list[int], rays: list[list[int]]) -> list[tuple[int, ...]]:
+def _cut(A, seed: list[int], rays: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
     """The double description loop of `_rays`, on int rows.
 
     `rays` are the seed cone's rays as primitive int rows.  Each ray carries
@@ -101,22 +104,19 @@ def _cut(A, seed: list[int], rays: list[list[int]]) -> list[tuple[int, ...]]:
     splits the rays by the sign of a . r; each adjacent pair r+, r- with
     s+ = a . r+ > 0 > s- = a . r- gives the ray s+ r- - s- r+ over its gcd,
     a positive combination of the two, so its zero set is theirs in common
-    plus row a.  Two rays are adjacent iff their common zero set has rank
-    n - 2, which needs at least n - 2 rows.
+    plus row a.  The rows processed so far include the seed's n independent
+    rows, so they cut out a pointed cone, and the rays are its extreme rays,
+    each with its own zero set.  Two of them are adjacent iff no third ray's
+    zero set holds their common one (the combinatorial test of Fukuda and
+    Prodon, "Double description method revisited", 1996), which needs a
+    common zero set of at least n - 2 rows.
     """
     n = len(A[0])
-    zeros = [sum(1 << i for i in seed if not sum(map(mul, A[i], r))) for r in rays]
-    state = list(zip(map(tuple, rays), zeros))
+    state = [(tuple(r), sum(1 << i for i in seed if not sum(map(mul, A[i], r)))) for r in rays]
     seed_set = set(seed)
-
-    def adjacent(z1: int, z2: int) -> bool:
-        common = z1 & z2
-        if common.bit_count() < n - 2:
-            return False
-        return _rank([A[i] for i in range(len(A)) if common >> i & 1]) == n - 2
-
     for idx in (i for i in range(len(A)) if i not in seed_set):
         a, bit = A[idx], 1 << idx
+        masks = [z for _, z in state]
         plus, zero, minus = [], [], []
         for r, z in state:
             s = sum(map(mul, a, r))
@@ -129,12 +129,44 @@ def _cut(A, seed: list[int], rays: list[list[int]]) -> list[tuple[int, ...]]:
         fresh = []
         for rp, zp, sp in plus:
             for rm, zm, sm in minus:
-                if adjacent(zp, zm):
-                    new = [sp * e - sm * f for e, f in zip(rm, rp)]
-                    g = gcd(*new)
-                    fresh.append((tuple([e // g for e in new]), zp & zm | bit))
+                common = zp & zm
+                if common.bit_count() < n - 2 or any(z & common == common and z != zp and z != zm for z in masks):
+                    continue
+                new = [sp * e - sm * f for e, f in zip(rm, rp)]
+                g = gcd(*new)
+                fresh.append((tuple([e // g for e in new]), common | bit))
         state = [(r, z) for r, z, _ in plus] + zero + fresh
-    return [r for r, _ in state]
+    return state
+
+
+def _meet(masks: list[int], count: int) -> int:
+    """The rows, among `count`, that vanish on every ray: the AND of the rays' zero sets, started at all rows."""
+    common = (1 << count) - 1
+    for z in masks:
+        common &= z
+    return common
+
+
+def _irredundant(masks: list[int], count: int) -> list[int]:
+    """The rows i < count whose rays share no other zero row, in order.
+
+    `masks` are the zero sets of the extreme rays of the full-dimensional
+    pointed cone {x : A x >= 0}, over its `count` distinct primitive rows.
+    The face of row i is generated by the rays on it, so the rows vanishing
+    on that face are the AND of their zero sets, started at all rows so
+    that a face {0} (no ray) keeps row i in a cone of dimension 1.  Row i
+    defines a facet iff that AND is row i alone: a facet lies on no other
+    row's hyperplane, and a smaller face lies on at least two facets, both
+    rows of A (Ziegler, Lectures on Polytopes, 1995, section 2.1).
+    """
+    on = [(1 << count) - 1] * count
+    for z in masks:
+        rest = z
+        while rest:
+            low = rest & -rest
+            on[low.bit_length() - 1] &= z
+            rest ^= low
+    return [i for i, common in enumerate(on) if common == 1 << i]
 
 
 @dataclass(frozen=True)
@@ -259,12 +291,13 @@ def _clean_rows(rows, dim: int, what: str) -> list[tuple[int, ...]]:
 def build_space(dim: int, generators=None, facets=None, name: str = "space") -> OrderedSpace:
     """Construct a space from generators, facets, or both (cross-validated).
 
-    The missing representation is computed by double description.  Computed
-    rows come out in lexicographic order; rows the caller supplied keep the
-    caller's order whenever they already equal the canonical set.  Each
-    input row is converted once to a primitive int row, all the work runs on
-    those (`_representations`), and Fractions are built only for the
-    space's fields.
+    One double description runs, on the generators if they are given, and
+    the rest is read off the zero sets of its rays.  Computed rows come out
+    in lexicographic order; rows the caller supplied keep the caller's order
+    whenever they already equal the canonical set.  Each input row is
+    converted once to a primitive int row, all the work runs on those
+    (`_representations`), and Fractions are built only for the space's
+    fields.
     """
     if not 1 <= dim <= MAX_DIM:
         raise ParseError(f"dimension must be between 1 and {MAX_DIM}, got {dim}")
@@ -295,40 +328,40 @@ def build_space(dim: int, generators=None, facets=None, name: str = "space") -> 
 def _representations(dim: int, gens, face) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The generators and the irredundant facets of the cone, as primitive int rows.
 
-    Either input may be None, and the other is computed by double
-    description; given both, each is checked against the other's dual.
+    Either input may be None.  One double description (`_rays`) runs, on
+    the generators if they are given and on the facets otherwise, and its
+    rays come with their zero sets over the input rows.  The rest is read
+    off those masks: the input is pointed, or full dimensional, iff no row
+    vanishes on every ray (`_meet`), and an input row is kept iff its rays
+    share no other zero row (`_irredundant`).  Given both, the facets match
+    iff each is >= 0 on the generators and every facet of the generated
+    cone is among them.
     """
     if gens is not None:
-        r = _rank(gens)
-        if r < dim:
-            raise NotGenerating(f"generators span a rank-{r} subspace of Q^{dim}")
-        dual = _rays(gens)  # canonical irredundant facets of pos(gens)
-        if _rank(dual) < dim:
+        basis = _basis_inverse(gens)
+        if len(basis[0]) < dim:
+            raise NotGenerating(f"generators span a rank-{len(basis[0])} subspace of Q^{dim}")
+        rays = _rays(gens, basis)  # canonical irredundant facets of pos(gens), with their zero sets
+        dual, masks = [f for f, _ in rays], [z for _, z in rays]
+        if _meet(masks, len(gens)):
             raise NotPointed("the generated cone contains a line")
-        canon_gens = _rays(dual)
-        gens = gens if set(gens) == set(canon_gens) else canon_gens
+        kept = _irredundant(masks, len(gens))
+        if len(kept) < len(gens):
+            gens = sorted(gens[i] for i in kept)
         if face is None:
             return gens, dual
-        ok = _rank(face) == dim
-        if ok:
-            try:
-                # No rays means the facets cut out only the origin.
-                rays = _rays(face)
-                ok = bool(rays) and set(_rays(rays)) == set(dual)
-            except ValueError:
-                # the facet system cuts out a degenerate cone
-                ok = False
-        if not ok:
+        if any(sum(map(mul, f, g)) < 0 for f in face for g in gens) or not set(dual) <= set(face):
             raise ParseError("facets do not match the cone generated by the generators")
-        return gens, face if set(face) == set(dual) else dual
-    r = _rank(face)
-    if r < dim:
-        raise NotPointed(f"facets have rank {r}; the cone contains a line")
-    canon_gens = _rays(face)
-    if _rank(canon_gens) < dim:
+        return gens, face if len(face) == len(dual) else dual  # face holds dual, without duplicates
+    basis = _basis_inverse(face)
+    if len(basis[0]) < dim:
+        raise NotPointed(f"facets have rank {len(basis[0])}; the cone contains a line")
+    rays = _rays(face, basis)
+    masks = [z for _, z in rays]
+    if _meet(masks, len(face)):
         raise NotGenerating("the facet cone is not full dimensional")
-    irred = _rays(canon_gens)
-    return canon_gens, face if set(face) == set(irred) else irred
+    kept = _irredundant(masks, len(face))
+    return [g for g, _ in rays], face if len(kept) == len(face) else sorted(face[i] for i in kept)
 
 
 def _sums(space: OrderedSpace, xi: list[int]) -> list[int]:

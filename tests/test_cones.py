@@ -262,7 +262,7 @@ def test_row_basis_is_computed_once_and_left_out_of_equality():
 
 def extreme_rays(A):
     """`cones._rays` on the rows of A made coprime, its rays read back as Fraction rows."""
-    return tuple(_fractions(r) for r in cones._rays([_coprime(a) for a in A]))
+    return tuple(_fractions(r) for r, _ in cones._rays([_coprime(a) for a in A]))
 
 
 def test_extreme_rays_trivial_cone():
@@ -518,6 +518,13 @@ def test_build_space_refusals_match_the_fraction_construction():
         (3, {"facets": cut_to_origin["facets"]}, "NotGenerating"),
         (2, {"generators": [(1, 0), (0, 1)], "facets": [(1, 0), (1, 1)]}, "ParseError"),  # mismatched
         (2, {"generators": [(1, 0), (0, 1)], "facets": [(1, 0), (0, 1), (1, 0), (1, -1)]}, "ParseError"),
+        # A strict superset of the true facets, one extra row negative on a generator.
+        (3, {"generators": FOUR_RAY_GENERATORS, "facets": [*FOUR_RAY_FACETS, (1, 0, 0)]}, "ParseError"),
+        (1, {"generators": []}, "NotGenerating"),
+        (1, {"facets": []}, "NotPointed"),
+        (1, {"generators": [(2,), (-3,)]}, "NotPointed"),
+        (1, {"facets": [(1,), (-5,)]}, "NotGenerating"),
+        (1, {"generators": [(2,), (3,)], "facets": [(-1,)]}, "ParseError"),
         (2, {"generators": [(1, 0), (0, 0)]}, "ParseError"),  # a zero row
         (2, {"generators": [(1, "x")]}, "ParseError"),
         (2, {"generators": [(1, 0, 0)]}, "ParseError"),
@@ -526,6 +533,130 @@ def test_build_space_refusals_match_the_fraction_construction():
         got = built(build_space, dim, **rows)
         assert got[0] == error, (rows, got)
         assert got == built(fraction_build_space, dim, **rows), rows
+
+
+def test_a_cone_in_dimension_one_keeps_its_one_atom_on_every_route(tmp_path):
+    # Its one ray lies on no facet and its facet {0} holds no ray.
+    for rows in ({"generators": [[2], [3]]}, {"facets": [[1], [5]]}, {"generators": [[2], [3]], "facets": [[1], [5]]}):
+        space = build_space(1, **rows)
+        assert (space.generators, space.F, space.atom_supports) == ((vec([1]),), (vec([1]),), (frozenset({1}),))
+        assert built(build_space, 1, **rows) == built(fraction_build_space, 1, **rows)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": 1, "generators": []}))
+    assert main(["atoms", "--space", str(path), "--json"]) == 1
+
+
+# The integer construction with a second double description in place of the
+# zero-set rules, kept as their oracle: `cones._representations` on the same
+# int rows, with every rank an elimination and every redundancy test a
+# double description of the other side.
+
+
+def two_dd_representations(dim, gens, face):
+    def rays(A):
+        return [r for r, _ in cones._rays(A)]
+
+    if gens is not None:
+        r = linalg._rank(gens)
+        if r < dim:
+            raise NotGenerating(f"generators span a rank-{r} subspace of Q^{dim}")
+        dual = rays(gens)
+        if linalg._rank(dual) < dim:
+            raise NotPointed("the generated cone contains a line")
+        canon_gens = rays(dual)
+        gens = gens if set(gens) == set(canon_gens) else canon_gens
+        if face is None:
+            return gens, dual
+        ok = linalg._rank(face) == dim
+        if ok:
+            try:
+                face_rays = rays(face)
+                ok = bool(face_rays) and set(rays(face_rays)) == set(dual)
+            except ValueError:
+                ok = False
+        if not ok:
+            raise ParseError("facets do not match the cone generated by the generators")
+        return gens, face if set(face) == set(dual) else dual
+    r = linalg._rank(face)
+    if r < dim:
+        raise NotPointed(f"facets have rank {r}; the cone contains a line")
+    canon_gens = rays(face)
+    if linalg._rank(canon_gens) < dim:
+        raise NotGenerating("the facet cone is not full dimensional")
+    irred = rays(canon_gens)
+    return canon_gens, face if set(face) == set(irred) else irred
+
+
+def probe_spaces():
+    """Polygons, simplicial cones, direct sums, cyclic polytopes and random spaces."""
+    rng = random.Random(22054)
+    spaces = [random_polygon_space(rng, m) for m in range(4, 15)] + [simplex(n) for n in range(2, 7)]
+    for _ in range(14):
+        parts = [random_space(rng) for _ in range(2)]
+        spaces.append(direct_sum(*parts, scramble=random_unimodular(rng, sum(sp.dim for sp in parts))))
+    spaces += [moment_cone(range(7), 3), moment_cone(range(8), 4), moment_cone(range(9), 4), moment_cone(range(8), 5)]
+    return spaces + [random_space(rng) for _ in range(20)], rng
+
+
+def test_zero_set_rules_match_the_second_double_description(monkeypatch):
+    spaces, rng = probe_spaces()
+    assert len(spaces) == 54
+    routes = []
+    for sp in spaces:
+        G, F = list(sp.generators), list(sp.F)
+        # Two redundant rows on each side: positive sums of two rows.
+        more_G = G + [vadd(G[0], G[-1]), vadd(vscale(Fraction(3), G[0]), G[-1])]
+        more_F = F + [vadd(F[0], F[-1]), vadd(vscale(Fraction(3), F[0]), F[-1])]
+        rng.shuffle(more_G)
+        rng.shuffle(more_F)
+        routes += [
+            (sp.dim, {"generators": more_G}),
+            (sp.dim, {"facets": more_F}),
+            (sp.dim, {"generators": more_G, "facets": more_F}),
+            (sp.dim, {"generators": G, "facets": F[1:]}),  # a facet missing
+            (sp.dim, {"generators": G, "facets": F + [vscale(Fraction(-1), G[0])]}),  # a row negative on G[0]
+            (sp.dim, {"facets": F[1:]}),  # a facet dropped: the cone grows, or gets a line
+            (sp.dim, {"generators": G[1:]}),  # a generator dropped: the cone shrinks, or flattens
+        ]
+    got = [built(build_space, dim, **rows) for dim, rows in routes]
+    monkeypatch.setattr(cones, "_representations", two_dd_representations)
+    expected = [built(build_space, dim, **rows) for dim, rows in routes]
+    for (dim, rows), g, e in zip(routes, got, expected):
+        assert g == e, (dim, rows)
+    kinds = {g[0] if not g[0].startswith("OrderedSpace(") else "built" for g in got}
+    assert kinds == {"built", "ParseError", "NotGenerating", "NotPointed"}
+
+
+def test_build_space_runs_one_double_description_and_no_other_elimination(monkeypatch):
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
+    ten_gon = [[t, t * t, 1] for t in range(10)] + [[9, 57, 2]]  # and a generator inside it
+    builds = [
+        (3, {"generators": FOUR_RAY_GENERATORS}, 4),
+        (3, {"facets": FOUR_RAY_FACETS}, 4),
+        (3, {"generators": FOUR_RAY_GENERATORS, "facets": FOUR_RAY_FACETS}, 4),
+        (5, {"generators": eye}, 5),
+        (3, {"generators": ten_gon}, 10),
+    ]
+    calls = {"rays": 0, "echelon": 0}
+    rays, echelon = cones._rays, linalg._echelon
+
+    def counted_rays(*args):
+        calls["rays"] += 1
+        return rays(*args)
+
+    def counted_echelon(rows):
+        calls["echelon"] += 1
+        return echelon(rows)
+
+    monkeypatch.setattr(cones, "_rays", counted_rays)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(cones, "_echelon", counted_echelon)
+    for dim, rows, atoms in builds:
+        calls.update(rays=0, echelon=0)
+        space = build_space(dim, **rows)
+        # The seed's independent rows and its inverse are the only eliminations:
+        # the cut's adjacency test and the face rules read zero-set masks.
+        assert (len(space.generators), calls) == (atoms, {"rays": 1, "echelon": 2}), rows
 
 
 def test_build_space_refuses_more_rows_than_the_bound(tmp_path, monkeypatch):

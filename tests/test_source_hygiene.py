@@ -174,10 +174,11 @@ def test_elimination_kernel_stays_on_integers():
     # The pivot and the eliminations built on it, the simplex loop and the LP
     # solver around it, the cone test, the row basis with its inverse, the
     # components read off it and their projections with the check of those,
-    # double description, the construction of a space from its rows, the
-    # flat pass with its pieces, the closure and rank of a row set, the atom
-    # test and the definition-route disjointness oracle run on integer rows;
-    # only their callers build Fractions.
+    # double description, the zero-set rules read off its rays' masks, the
+    # construction of a space from its rows, the flat pass with its pieces,
+    # the closure and rank of a row set, the atom test and the
+    # definition-route disjointness oracle run on integer rows; only their
+    # callers build Fractions.
     kernel = (
         ("linalg", "_pivot"),
         ("linalg", "_echelon"),
@@ -193,6 +194,8 @@ def test_elimination_kernel_stays_on_integers():
         ("cones", "component_projections"),
         ("cones", "_rays"),
         ("cones", "_cut"),
+        ("cones", "_meet"),
+        ("cones", "_irredundant"),
         ("cones", "_representations"),
         ("bands", "_flats"),
         ("bands", "_cut_piece"),
