@@ -187,11 +187,24 @@ def is_band(space: OrderedSpace, D) -> bool:
 def _kernel_is_directed(space: OrderedSpace, J, dim: int) -> bool:
     """Whether the row kernel ker(F_J), of dimension dim, is directed.
 
-    Every f_j is >= 0 on K, so K meets ker(F_J) in a face of K, and a face of
-    a pointed polyhedral cone is generated by the atoms it contains: here the
-    atoms whose supports miss J.  The kernel is spanned by its positive part
-    iff those atoms have rank dim.
+    When J is a union of components (`_is_separator`) it is, and no rank is
+    taken.  Let Π_C be the projection onto the piece ker F_{[m]-C} of a
+    component C (`OrderedSpace.component_projections`), so F Π_C = E_C F.
+    The Π_C sum to the identity, and Π_C x = 0 for x in ker F_J and C inside
+    J, so ker F_J is the sum of the pieces of the components outside J.  Each
+    piece is directed: Π_C keeps K positive and fixes the piece, so it maps K
+    onto K ∩ piece, and an x in the piece, written x = p - q with p, q in K,
+    is Π_C p - Π_C q.  A sum of directed subspaces is directed.  This is the
+    argument by which `atoms.enumerate_order_projections` reports every
+    projection band directed.
+
+    Otherwise every f_j is >= 0 on K, so K meets ker(F_J) in a face of K, and
+    a face of a pointed polyhedral cone is generated by the atoms it contains:
+    here the atoms whose supports miss J.  The kernel is spanned by its
+    positive part iff those atoms have rank dim.
     """
+    if _is_separator(space, J):
+        return True
     inside = tuple(g for g, s in zip(space.int_generators, space.atom_supports) if not s & J)
     return _rank(inside) == dim
 
@@ -221,7 +234,65 @@ def is_directed_subspace(space: OrderedSpace, D: Subspace) -> bool:
     return rank(positive_generators(space, D)) == D.dim
 
 
-def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
+def _covered(space: OrderedSpace, C: frozenset[int], root: list[list[int]], cap: int, before: int) -> tuple[bool, int]:
+    """Whether two hyperplanes cover the component C, and the leaves the search visited.
+
+    A hyperplane of C is a flat of rank r - 1, for r = r(C), the dimension
+    of C's piece, whose int basis `root` is.  C has a band flat other than ∅
+    and C iff two hyperplanes cover it.  The band flats of C are the sets
+    cl(C - S) for flats S (`enumerate_bands`).  If hyperplanes H1 and H2
+    cover C, then cl(C - H1) lies in H2 and holds a row, so it is neither ∅
+    nor C.  Conversely, for a band flat L other than ∅ and C, M = cl(C - L)
+    is neither C (else L = cl(∅) = ∅) nor ∅, so L and M lie in hyperplanes,
+    and these cover C, as L + M does.
+
+    The search takes the rows of C in order, each valued on the piece's
+    basis, an int vector of length r.  A side is a set of rows, held as an
+    int basis of the vectors of Q^r on which its rows' values vanish, so its
+    rank is r minus that basis's length.  A row in either side's span, its
+    values 0 on that basis, needs nothing.  Any other row branches: it goes
+    to a side of rank below r - 1, whose basis `_cut_piece` cuts by the row.
+    Two sides of rank at most r - 1 lie in hyperplanes, so a branch that
+    places every row finds a cover.  Conversely, if H1 and H2 cover C, H1
+    holding the first row, the branch that puts each row into a side whose
+    hyperplane holds it places every row: a side stays inside its
+    hyperplane, which is closed, so a row in neither side's span goes to a
+    side of rank below that of its hyperplane.  The first row goes to the
+    first side only, as the two sides are alike until then, and every other
+    row has at most two branches, so there are at most 2^(|C|-1) leaves.  No
+    elimination runs.  Raises CapExceeded once `before` plus the leaves
+    visited here exceed 2^cap.
+    """
+    rows = space.int_facets[1]
+    values = [[sum(map(mul, rows[j - 1], b)) for b in root] for j in sorted(C)]
+    whole = [[int(i == k) for k in range(len(root))] for i in range(len(root))]
+    leaves = before
+    todo = [(0, whole, whole)]  # an explicit stack: a component may have more rows than the recursion limit
+    while todo:
+        i, one, two = todo.pop()
+        while i < len(values):
+            a = [sum(map(mul, values[i], c)) for c in one]
+            b = [sum(map(mul, values[i], c)) for c in two]
+            if any(a) and any(b):
+                break
+            i += 1
+        branches = []
+        if i < len(values):
+            if len(two) > 1 and two is not one:
+                branches.append((i + 1, one, _cut_piece(two, b)))
+            if len(one) > 1:
+                branches.append((i + 1, _cut_piece(one, a), two))
+        if not branches:  # a leaf: every row placed, or a row that neither side can take
+            leaves += 1
+            if (leaves - 1).bit_length() > cap:  # leaves > 2^cap
+                raise CapExceeded(f"the search for two covering hyperplanes visits more than 2^{cap} leaves")
+            if i == len(values):
+                return True, leaves - before
+        todo += branches
+    return False, leaves - before
+
+
+def _flats(space: OrderedSpace, C: frozenset[int], root: list[list[int]], cap: int, before: int):
     """Every flat of the component C of the facet rows' matroid, with its piece.
 
     A flat is a set L of rows closed under linear dependence: L holds every
@@ -238,15 +309,14 @@ def _flats(space: OrderedSpace, C: frozenset[int], cap: int, before: int):
 
     Close-by-one, the depth-first form of Ganter's NextClosure (1984), keeps
     the cover cl(L + j) only when j is the least row it adds, so each flat is
-    visited once.  Only the empty flat's piece is eliminated; a cover's piece
-    is its parent's cut by the class's key (`_cut_piece`).  The pieces are
-    int bases, not canonical ones.  Returns the pieces by flat and, for each
+    visited once.  The empty flat's piece, ker F_{[m]-C}, is given as the int
+    basis `root`, and no piece is eliminated here: a cover's piece is its
+    parent's cut by the class's key (`_cut_piece`).  The pieces are int
+    bases, not canonical ones.  Returns the pieces by flat and, for each
     flat L, the map from each row j of C outside L to cl(L + j).  Raises
     CapExceeded once `before` plus the flats visited here exceed 2^cap.
     """
-    rest = frozenset(range(1, space.m + 1)) - C
     rows = [(j, space.int_facets[1][j - 1]) for j in sorted(C)]  # positive scalings keep the classes
-    root = _kernel_rows(space, rest)
     pieces: dict[frozenset[int], list[list[int]]] = {}
     covers: dict[frozenset[int], dict[int, frozenset[int]]] = {}
     todo = [(frozenset(), 1, root)]  # facet rows are nonzero, so no row vanishes on the summand
@@ -317,25 +387,32 @@ def enumerate_bands(space: OrderedSpace, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     parts in the pieces.  Closures are walks up the covers, and zero sets are
     reported maximal (they are the flats).
 
-    Refuses (CapExceeded) once the flats visited over all components exceed
-    2^cap, and, before any carrier is built, when there are more than 2^cap
-    bands.  A space with at most cap facets is never refused: both counts are
-    at most 2^m.
+    The flats of a component are walked only when it has bands other than 0
+    and its piece, that is, when two of its hyperplanes cover it
+    (`_covered`).  Otherwise its band flats are ∅ and C, and no flat is
+    visited; so it is for every polygon cone.
+
+    Refuses (CapExceeded) once the leaves of the cover search or the flats
+    visited, each summed over the components, exceed 2^cap, and, before any
+    carrier is built, when there are more than 2^cap bands.  A space with at
+    most cap facets is never refused: the leaves number at most 2^(m-1),
+    the flats and the bands at most 2^m.
     """
     full = frozenset(range(1, space.m + 1))
     parts = []
-    visited = 0
+    visited = leaves = 0
     for C in space.components:
-        pieces, covers = _flats(space, C, cap, visited)
-        visited += len(pieces)
-        complement = {L: _closure(covers, C - L) for L in pieces}
-        parts.append(
-            [
-                (L, K, _kernel_is_directed(space, full - C | L, len(K)))
-                for L, K in pieces.items()
-                if complement[complement[L]] == L
-            ]
-        )
+        root = _kernel_rows(space, full - C)
+        covered, searched = _covered(space, C, root, cap, leaves)
+        leaves += searched
+        if covered:
+            pieces, covers = _flats(space, C, root, cap, visited)
+            visited += len(pieces)
+            complement = {L: _closure(covers, C - L) for L in pieces}
+            flats = [(L, K) for L, K in pieces.items() if complement[complement[L]] == L]
+        else:
+            flats = [(frozenset(), root), (C, [])]
+        parts.append([(L, K, _kernel_is_directed(space, full - C | L, len(K))) for L, K in flats])
     count = prod(map(len, parts))
     if (count - 1).bit_length() > cap:  # count > 2^cap
         raise CapExceeded(f"the space has {count} bands, more than 2^{cap}")

@@ -234,14 +234,21 @@ def nullspace(A: Mat) -> Mat:
 
 
 def _nullspace(rows, n: int) -> list[list[int]]:
-    """The rows of `nullspace` for int rows with n columns, as primitive int rows.
+    """The rows of `nullspace` for int rows with n columns, as primitive int rows, from one elimination.
 
     The free-variable basis of the kernel (`_kernel`) is not the canonical
     one (for A = [[1, 1, 1]] it is (-1, 1, 0), (-1, 0, 1), against
-    (1, 0, -1), (0, 1, -1)), so its rows are eliminated once more by
-    `_canonical_rows`.
+    (1, 0, -1), (0, 1, -1)), but it is once the columns are eliminated in
+    reverse order.  Reversed, the pivots P are A's right-greedy column basis
+    and the free columns the rest.  The vector of a free column c is c's unit
+    vector less its RREF coefficients on the pivot columns, and a pivot row
+    of the reversed RREF is 0 left of its pivot, so back in the original order
+    the vector is nonzero only at c and at pivots right of c.  Its leading
+    entry is c's positive one, and it is 0 at every other free column.  So
+    these vectors, each primitive and listed by c, are the rows of ker A's
+    RREF, whose pivots are the free columns: the canonical basis.
     """
-    return _canonical_rows(_kernel(rows, n))
+    return [v[::-1] for v in reversed(_kernel([r[::-1] for r in rows], n))]
 
 
 def _kernel(rows, n: int) -> list[list[int]]:

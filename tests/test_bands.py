@@ -11,9 +11,12 @@ from ordercone.atoms import ProjectionReport, decompose_by_atom, enumerate_order
 from ordercone.bands import (
     DEFAULT_ENUMERATION_CAP,
     Band,
+    _covered,
+    _cut_piece,
     _flats,
     _is_separator,
     _kernel_is_directed,
+    _kernel_rows,
     _span_closure,
     band_of,
     disjoint_complement,
@@ -193,15 +196,25 @@ def test_enumerate_bands_simplicial_and_cap():
 
 
 def test_cap_counts_flats_not_facets():
-    # The cone over a 15-gon has 15 facets but only 122 flats: 0, 15 rows,
-    # 105 pairs and the full set.  Its bands are 0 and X, both projection bands.
+    # The cone over a 15-gon has 15 facets and 2 bands, 0 and X, both
+    # projection bands.  No two hyperplanes cover its rows, so no flat is
+    # visited, and cap 6 answers it too.
     sp = build_space(3, generators=[[k, k * k, 1] for k in range(-7, 8)])
     assert sp.m == 15
     assert [b.carrier.dim for b in enumerate_bands(sp)] == [0, 3]
     assert len(enumerate_order_projections(sp)) == 2
-    with pytest.raises(CapExceeded):
-        enumerate_bands(sp, cap=6)
-    assert len(enumerate_bands(sp, cap=7)) == 2
+    assert [b.carrier.dim for b in enumerate_bands(sp, cap=6)] == [0, 3]
+    # The octahedron's cone has 8 facets and 58 flats, all of them walked:
+    # refused below the cap its flats need, and answered at that cap, which
+    # is below 8.
+    octa = octahedron()
+    (C,) = octa.components
+    flats = len(_flats(octa, C, _kernel_rows(octa, frozenset()), DEFAULT_ENUMERATION_CAP, 0)[0])
+    cap = (flats - 1).bit_length()
+    assert (flats, cap) == (58, 6) and cap < octa.m
+    with pytest.raises(CapExceeded, match="flats"):
+        enumerate_bands(octa, cap=cap - 1)
+    assert len(enumerate_bands(octa, cap=cap)) == 14
 
 
 def test_principal_ideal_member_frozen():
@@ -419,6 +432,116 @@ def oracle_spaces():
         + [simplex(n) for n in range(1, 6)]
         + [random_space(rng) for _ in range(10)]
     )
+
+
+def octahedron():
+    return build_space(
+        4, generators=[[s * (i == k) for i in range(3)] + [1] for k in range(3) for s in (1, -1)], name="octahedron"
+    )
+
+
+def cube():
+    return build_space(4, generators=[[a, b, c, 1] for a in (1, -1) for b in (1, -1) for c in (1, -1)], name="cube")
+
+
+def parallel_hexagon():
+    """The cone over a hexagon whose opposite sides are parallel."""
+    gens = [[1, 0, 1], [1, 1, 1], [0, 1, 1], [-1, 0, 1], [-1, -1, 1], [0, -1, 1]]
+    return build_space(3, generators=gens, name="parallel hexagon")
+
+
+def test_non_generic_cones_match_the_subset_sweep():
+    for make, count in ((octahedron, 14), (cube, 16), (parallel_hexagon, 2)):
+        sp = make()
+        bands = enumerate_bands(sp)
+        assert len(bands) == count and bands == sweep_bands(sp), sp.name
+
+
+def covered_by_two_hyperplanes(space, C):
+    """Whether two hyperplanes of the component C cover it, found by brute force.
+
+    The hyperplanes of C, of rank r - 1 for r = r(C), are the closures of its
+    (r - 1)-subsets of that rank: every row j of C with r(S + j) = r(S).  No
+    code is shared with the cover search or the flat walk.
+    """
+
+    def r(S):
+        return rank(tuple(space.F[j - 1] for j in S))
+
+    k = r(C) - 1
+    hyperplanes = {frozenset(j for j in C if r(S + (j,)) == k) for S in combinations(sorted(C), k) if r(S) == k}
+    return any(H | G == C for H, G in combinations(hyperplanes, 2))
+
+
+def test_two_bands_iff_no_two_hyperplanes_cover():
+    # The band flats of a component C are the parts L & C of the bands' zero
+    # sets, read here off the 2^m subset sweep.
+    spaces = oracle_spaces() + [octahedron(), cube(), parallel_hexagon()]
+    spaces += [sp for sp in piece_spaces() if sp.m <= 10]
+    answers = set()
+    for sp in spaces:
+        full = frozenset(range(1, sp.m + 1))
+        sweep = sweep_bands(sp)
+        for C in sp.components:
+            covered = covered_by_two_hyperplanes(sp, C)
+            assert (len({b.zero_set & C for b in sweep}) == 2) == (not covered), (sp.name, C)
+            found, leaves = _covered(sp, C, _kernel_rows(sp, full - C), DEFAULT_ENUMERATION_CAP, 0)
+            assert found == covered and 1 <= leaves <= 2 ** (len(C) - 1), (sp.name, C)
+            answers.add(covered)
+    assert answers == {True, False}
+
+
+def test_flats_are_walked_only_where_two_hyperplanes_cover(monkeypatch):
+    walks = []
+
+    def counting(space, C, *args):
+        walks.append(C)
+        return _flats(space, C, *args)
+
+    monkeypatch.setattr("ordercone.bands._flats", counting)
+
+    def walked(sp):
+        walks.clear()
+        enumerate_bands(sp)
+        return len(walks)
+
+    rng = random.Random(30516)
+    polygons = [pentagon(), parallel_hexagon()] + [random_polygon_space(rng, m) for m in range(5, 12)]
+    assert [walked(sp) for sp in polygons] == [0] * len(polygons)
+    assert walked(simplex(5)) == 0  # one-row components have rank 1
+    assert [walked(sp) for sp in (four_ray(), octahedron(), cube())] == [1, 1, 1]
+    assert walked(direct_sum(four_ray(), pentagon(), simplex(1))) == 1
+
+
+def test_a_200_gon_cone_has_two_bands():
+    sp = build_space(3, generators=[[t, t * t, 1] for t in range(200)])
+    bands = enumerate_bands(sp)
+    assert [(b.carrier.dim, b.zero_set, b.directed) for b in bands] == [
+        (0, frozenset(range(1, 201)), True),
+        (3, frozenset(), True),
+    ]
+
+
+def test_cover_search_cap_refuses_a_high_rank_component_quickly(monkeypatch):
+    # The cone of the polynomials of degree at most 5 that are nonnegative at
+    # t = 0..11: its 12 facet rows lie on the moment curve, so every 6 of
+    # them are independent and no two hyperplanes (5 rows each) cover them.
+    # The search visits all C(9, 4) = 126 of its leaves to find that out.
+    sp = build_space(6, facets=[[t**e for e in range(6)] for t in range(12)])
+    assert sp.m == 12 and len(sp.components) == 1
+    (C,) = sp.components
+    assert _covered(sp, C, _kernel_rows(sp, frozenset()), DEFAULT_ENUMERATION_CAP, 0) == (False, 126)
+    assert [b.carrier.dim for b in enumerate_bands(sp)] == [0, 6]
+    cuts = [0]
+
+    def counting(basis, r):
+        cuts[0] += 1
+        return _cut_piece(basis, r)
+
+    monkeypatch.setattr("ordercone.bands._cut_piece", counting)
+    with pytest.raises(CapExceeded, match=r"more than 2\^5 leaves"):
+        enumerate_bands(sp, cap=5)
+    assert cuts[0] <= (2**5 + 1) * sp.m  # each leaf ends a path of at most m cuts
 
 
 def test_span_closure_matches_the_canonical_kernel():
@@ -723,7 +846,7 @@ def test_incremental_pieces_span_the_flat_kernels():
     for sp in piece_spaces():
         full = frozenset(range(1, sp.m + 1))
         for C in sp.components:
-            pieces, _ = _flats(sp, C, DEFAULT_ENUMERATION_CAP, 0)
+            pieces, _ = _flats(sp, C, _kernel_rows(sp, full - C), DEFAULT_ENUMERATION_CAP, 0)
             for L, piece in pieces.items():
                 K = kernel_of_rows(sp, full - C | L)
                 assert len(piece) == K.dim, (sp.name, L)
@@ -771,22 +894,28 @@ def test_band_layer_elimination_counts(monkeypatch):
         "four-ray": four_ray,
         "simplex:5": lambda: simplex(5),
         "four-ray^3": lambda: direct_sum(four_ray(), four_ray(), four_ray()),
+        "8-gon": lambda: build_space(3, generators=[[t, t * t, 1] for t in range(8)]),
     }
     got = {(s, p): count(make, probe) for s, make in spaces.items() for p, probe in probes.items()}
     assert got == {
-        ("four-ray", "enumerate_bands"): 12,
+        ("four-ray", "enumerate_bands"): 11,
         ("four-ray", "enumerate_order_projections"): 1,
-        ("four-ray", "atom bands"): 24,
+        ("four-ray", "atom bands"): 20,
         ("four-ray", "atom decompositions"): 8,
         ("four-ray", "atom band tests"): 8,
-        ("simplex:5", "enumerate_bands"): 46,
-        ("simplex:5", "enumerate_order_projections"): 41,
-        ("simplex:5", "atom bands"): 20,
+        ("simplex:5", "enumerate_bands"): 36,
+        ("simplex:5", "enumerate_order_projections"): 36,
+        ("simplex:5", "atom bands"): 10,
         ("simplex:5", "atom decompositions"): 5,
         ("simplex:5", "atom band tests"): 10,
-        ("four-ray^3", "enumerate_bands"): 532,
-        ("four-ray^3", "enumerate_order_projections"): 13,
-        ("four-ray^3", "atom bands"): 72,
+        ("four-ray^3", "enumerate_bands"): 526,
+        ("four-ray^3", "enumerate_order_projections"): 10,
+        ("four-ray^3", "atom bands"): 60,
         ("four-ray^3", "atom decompositions"): 24,
         ("four-ray^3", "atom band tests"): 24,
+        ("8-gon", "enumerate_bands"): 1,
+        ("8-gon", "enumerate_order_projections"): 1,
+        ("8-gon", "atom bands"): 8,
+        ("8-gon", "atom decompositions"): 8,
+        ("8-gon", "atom band tests"): 8,
     }

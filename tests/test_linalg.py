@@ -8,10 +8,14 @@ import pytest
 from ordercone.cones import _basis_inverse
 from ordercone.linalg import (
     ZERO,
+    _canonical_rows,
     _coprime,
     _echelon,
     _int_rows,
+    _kernel,
+    _nullspace,
     _over,
+    _rank,
     as_fraction,
     canonical_subspace_basis,
     dot,
@@ -91,6 +95,25 @@ def test_nullspace_random_annihilates():
         assert rank(A) + len(basis) == cols
         for v in basis:
             assert all(e == 0 for e in mat_vec(A, v))
+
+
+def test_reversed_elimination_gives_the_canonical_kernel():
+    # One elimination with the columns reversed against the free-variable
+    # basis canonicalized by a second one.
+    rng = random.Random(23_1707)
+    cases = [([[1, 1, 1]], 3), ([], 1), ([[0]], 1), ([[5]], 1), ([[2], [-4]], 1), ([], 3)]
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        if len(rows) > 1 and rng.random() < 0.3:
+            rows[-1] = [3 * a - b for a, b in zip(rows[0], rows[1])]
+        cases.append(([_coprime(row) for row in rows], n))
+    kinds = set()
+    for rows, n in cases:
+        assert _nullspace(rows, n) == _canonical_rows(_kernel(rows, n)), (rows, n)
+        r = _rank(rows)
+        kinds.add("n = 1" if n == 1 else "full rank" if r == min(len(rows), n) else "rank-deficient")
+    assert kinds == {"n = 1", "full rank", "rank-deficient"}
 
 
 def test_primitive():

@@ -175,10 +175,10 @@ def test_elimination_kernel_stays_on_integers():
     # solver around it, the cone test, the row basis with its inverse, the
     # components read off it and their projections with the check of those,
     # double description, the zero-set rules read off its rays' masks, the
-    # construction of a space from its rows, the flat pass with its pieces,
-    # the closure and rank of a row set, the atom test and the
-    # definition-route disjointness oracle run on integer rows; only their
-    # callers build Fractions.
+    # construction of a space from its rows, the search for two covering
+    # hyperplanes, the flat pass with its pieces, the closure and rank of a
+    # row set, the atom test and the definition-route disjointness oracle run
+    # on integer rows; only their callers build Fractions.
     kernel = (
         ("linalg", "_pivot"),
         ("linalg", "_echelon"),
@@ -197,6 +197,7 @@ def test_elimination_kernel_stays_on_integers():
         ("cones", "_meet"),
         ("cones", "_irredundant"),
         ("cones", "_representations"),
+        ("bands", "_covered"),
         ("bands", "_flats"),
         ("bands", "_cut_piece"),
         ("bands", "_span_closure"),
