@@ -33,7 +33,7 @@ from .bands import (
     positive_generators,
     vanish_set,
 )
-from .cones import OrderedSpace, _image, _images, _sums, embed, in_cone
+from .cones import OrderedSpace, _image, _images, _sums, embed
 from .errors import (
     CapExceeded,
     CertificateError,
@@ -80,7 +80,11 @@ def is_atom(space: OrderedSpace, x: Vec) -> bool:
     Distinct atoms span distinct rays, so they have distinct supports.  The
     zero vector has F x = 0 and stays a non-atom.
     """
-    image = _image(space, x)[1]
+    return _is_atom_image(space, _image(space, x)[1])
+
+
+def _is_atom_image(space: OrderedSpace, image: list[int]) -> bool:
+    """`is_atom`'s face rule, read off an int image S F x with S > 0."""
     if any(e < 0 for e in image):
         return False
     face = support(image)
@@ -210,16 +214,17 @@ def atom_lambda(space: OrderedSpace, x: Vec, a: Vec) -> Fraction:
     """The greatest lambda with lambda*a <= x, for an atom a and x >= 0.
 
     Closed form: the minimum of f_j(x)/f_j(a) over rows with f_j(a) > 0.
-    Zero exactly when x and a are disjoint.
+    Zero exactly when x and a are disjoint.  Each argument is imaged once,
+    and the atom and cone tests read those images.
     """
     if not _is_simplicial(space):
         raise NotPervasive("the atomic scaling coefficient needs a pervasive space")
-    if not is_atom(space, a):
-        raise NotAtom("a must generate an extreme ray")
-    if not in_cone(space, x):
-        raise NotPositive("x must be in the cone")
-    Sx, Fx = _image(space, x)
     Sa, Fa = _image(space, a)
+    if not _is_atom_image(space, Fa):
+        raise NotAtom("a must generate an extreme ray")
+    Sx, Fx = _image(space, x)
+    if any(e < 0 for e in Fx):
+        raise NotPositive("x must be in the cone")
     return min(Fraction(b * Sa, e * Sx) for b, e in zip(Fx, Fa) if e > 0)
 
 
@@ -246,21 +251,25 @@ def decompose_by_atom(space: OrderedSpace, x: Vec, a: Vec):
     decides it; the rank of the rest is computed only to report a failure.
     Face rule for the split itself: w = x - lambda*a lies in ker F_s iff
     F_s x = lambda F_s a, and F a has no zero on s, so lambda is read
-    crosswise off the two images.
+    crosswise off the two images.  Each argument is imaged once: a's image
+    gives the atom test and s, and x's is taken only for the split.  When s
+    is itself a union of components, as on every simplicial cone, it is its
+    own closure and no elimination runs (`bands._span_closure`).
     """
-    if not is_atom(space, a):
+    Sa, A = _image(space, a)
+    if not _is_atom_image(space, A):
         raise NotAtom("a must generate an extreme ray")
-    s = support(_image(space, a)[1])
+    s = support(A)
     closure, r = _span_closure(space, s)
     n = space.dim
     if not _is_separator(space, closure):
         r_band = _span_closure(space, frozenset(range(1, space.m + 1)) - closure)[1]
         return NoDecomposition(f"principal band and complement have dimensions {n - r_band} + {n - r} != {n}")
-    _, (X, A) = _images(space, (x, a))
+    Sx, X = _image(space, x)
     j, *rest = sorted(s)
     if any(X[i - 1] * A[j - 1] != X[j - 1] * A[i - 1] for i in rest):
         return NoDecomposition("x is not a combination of the atom and its disjoint complement")
-    lam = Fraction(X[j - 1], A[j - 1])
+    lam = Fraction(X[j - 1] * Sa, A[j - 1] * Sx)
     atom_part = vscale(lam, a)
     w = vsub(x, atom_part)
     if not is_disjoint(space, atom_part, w):
@@ -345,18 +354,15 @@ def is_projection_band(space: OrderedSpace, B) -> ProjectionReport:
     its carrier is ker F_L: L is B's maximal zero set, so ker F_L contains B,
     and B^dd = ker F_L.  That is the closure rule of `bands.is_band`, as
     [m] - L is a union of components too, so closed: B is a band iff
-    dim B = n - r(L).  Here r(L) is read off the space's one row basis R
-    (`row_basis`) with no elimination: |R ∩ L| + |R - L| = n, and each part
-    is at most the rank of its side, so for a union of components, where
-    r(L) + r([m] - L) = n, both are equalities and r(L) = |R ∩ L|.  Any
-    other L is no projection band, and only whether B is a band is left to
-    decide.  The projection is the sum of the checked projections of the
-    components outside L (`_project`).
+    dim B = n - r(L), with r(L) read off the space's one row basis with no
+    elimination (`_span_closure`).  Any other L is no projection band, and
+    only whether B is a band is left to decide.  The projection is the sum
+    of the checked projections of the components outside L (`_project`).
     """
     carrier = B.carrier if isinstance(B, Band) else B
     L = vanish_set(space, carrier)
     if _is_separator(space, L):
-        band = carrier.dim == space.dim - sum(i + 1 in L for i in space.row_basis[0])
+        band = carrier.dim == space.dim - _span_closure(space, L)[1]
     else:
         band = is_band(space, carrier)
     if not band:
@@ -439,12 +445,15 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     one positive scale per row leave its pivots, and so z1, unchanged.  z1
     comes from the int rows D F_B^{-1}, and its image is checked to lie in
     [lo, hi] on ints; a failed check raises CertificateError.  Fractions are
-    built only for z1 and z2.
+    built only for z1 and z2 = z - z1, both from int rows over D L S.
 
-    On a simplicial cone m = n and only the first n rows exist.  Their
-    right-hand sides are >= 0 since lo <= hi, so every slack starts basic,
-    there is no phase 1, and the zero objective stops phase 2 at s = 0 with
-    no pivot: z1 = F^{-1} lo.
+    The LP is set up only when it has something to find.  Every row for B
+    has the right-hand side lo - hi <= 0, and the rows outside B have
+    right-hand sides <= 0 iff D lo_i <= g_i . (D lo_B) <= D hi_i, i.e. iff
+    s = 0 meets them.  When it does, `_lp_nonneg` would start with every
+    slack basic, need no phase 1, and stop its zero objective at s = 0 with
+    no pivot; so s = 0 is taken and no LP is built: z1 = F_B^{-1} lo_B.  On
+    a simplicial cone no row lies outside B, so this is every call.
     """
     S, (X1, X2, Z) = _images(space, (x1, x2, z))
     if any(e < 0 for e in chain(X1, X2, Z)):
@@ -456,29 +465,29 @@ def rdp_split(space: OrderedSpace, x1: Vec, x2: Vec, z: Vec):
     hi = [min(a, c) for a, c in zip(X1, Z)]
     B, D, inverse, G = space.row_basis
     lo_B = [lo[i] for i in B]
-    rows = [[-int(u == t) for u in range(n)] + [lo[i] - hi[i]] for t, i in enumerate(B)]  # s_t <= hi_i - lo_i
-    scales = [1] * n
     in_B = set(B)
-    for i, g in enumerate(G):
-        if i in in_B:
-            continue
-        base = sum(map(mul, g, lo_B))
-        rows.append([*g, D * lo[i] - base])  # g . (lo_B + s) >= lo_i
-        rows.append([-c for c in g] + [base - D * hi[i]])  # g . (lo_B + s) <= hi_i
-        scales += [D, D]
-    res = _lp_nonneg(rows, scales, [0] * n)
-    if isinstance(res, Infeasible):
-        return NoSplit()
-    if not isinstance(res, tuple):
-        raise ArithmeticError(f"the split LP has a zero objective, yet came back {res}")
-    s, L = res
+    outside = [(i, g, sum(map(mul, g, lo_B))) for i, g in enumerate(G) if i not in in_B]
+    if all(D * lo[i] <= base <= D * hi[i] for i, _, base in outside):
+        s, L = [0] * n, 1
+    else:
+        rows = [[-int(u == t) for u in range(n)] + [lo[i] - hi[i]] for t, i in enumerate(B)]  # s_t <= hi_i - lo_i
+        for i, g, base in outside:
+            rows.append([*g, D * lo[i] - base])  # g . (lo_B + s) >= lo_i
+            rows.append([-c for c in g] + [base - D * hi[i]])  # g . (lo_B + s) <= hi_i
+        res = _lp_nonneg(rows, [1] * n + [D, D] * len(outside), [0] * n)
+        if isinstance(res, Infeasible):
+            return NoSplit()
+        if not isinstance(res, tuple):
+            raise ArithmeticError(f"the split LP has a zero objective, yet came back {res}")
+        s, L = res
     y_B = [L * a + b for a, b in zip(lo_B, s)]
     z1 = [sum(map(mul, row, y_B)) for row in inverse]  # D L S z1
     K = space.int_facets[0] * D * L
     if not all(K * a <= y <= K * b for a, y, b in zip(lo, _sums(space, z1), hi)):
-        raise CertificateError("the split LP returned a point whose image leaves [lo, hi]")
-    z1 = _over(z1, D * L * S)
-    return Split(z1, vsub(z, z1))
+        raise CertificateError("the split's z1 has an image outside [lo, hi]")
+    c = S // space.int_facets[0]
+    zc = [e.numerator * (c // e.denominator) for e in z]  # c z, so D L S z = K c z
+    return Split(_over(z1, D * L * S), _over([K * a - b for a, b in zip(zc, z1)], D * L * S))
 
 
 # --- ideal decompositions (direct sums against the calculus) ------------------

@@ -19,6 +19,7 @@ from .errors import CapExceeded, ParseError
 from .linalg import (
     Mat,
     Vec,
+    ONE,
     ZERO,
     _canonical_rows,
     _coprime,
@@ -61,7 +62,7 @@ def subspace(ambient: int, vectors) -> Subspace:
 
 
 def full_space(ambient: int) -> Subspace:
-    eye = mat([[1 if j == i else 0 for j in range(ambient)] for i in range(ambient)])
+    eye = tuple(tuple(ONE if j == i else ZERO for j in range(ambient)) for i in range(ambient))
     return Subspace(ambient, eye)
 
 
@@ -130,15 +131,24 @@ def _as_vectors(M) -> tuple[Vec, ...]:
     return tuple(vec(v) for v in M)
 
 
-def _span_closure(space: OrderedSpace, J) -> tuple[frozenset[int], int]:
-    """(cl(J), r(J)) in the facet rows' matroid, from one elimination.
+def _span_closure(space: OrderedSpace, J: frozenset[int]) -> tuple[frozenset[int], int]:
+    """(cl(J), r(J)) in the facet rows' matroid, from at most one elimination.
 
-    cl(J) is the set of rows that vanish on ker F_J and r(J) = n - dim ker F_J,
-    so both are read off the free-variable basis of ker F_J (`_kernel`); no
-    canonical basis is needed.  No facet row is zero, so cl(∅) = ∅.
+    When J is a union of components (`_is_separator`) none runs.  Such a J
+    is a flat: a row of another component in the span of J would lie in a
+    circuit with rows of J, and a circuit lies inside one component.  Its
+    rank is read off the space's one row basis R (`row_basis`): r(J) =
+    |R ∩ J|.  For |R ∩ J| + |R - J| = n, each part is at most the rank of
+    its side, and r(J) + r([m] - J) = n for a union of components, so both
+    are equalities.
+
+    Otherwise cl(J) is the set of rows that vanish on ker F_J and
+    r(J) = n - dim ker F_J, so both are read off the free-variable basis of
+    ker F_J (`_kernel`); no canonical basis is needed.  No facet row is
+    zero, so cl(∅) = ∅.
     """
-    if not J:
-        return frozenset(), 0
+    if _is_separator(space, J):
+        return J, sum(i + 1 in J for i in space.row_basis[0])
     rows = space.int_facets[1]
     basis = _kernel([rows[j - 1] for j in sorted(J)], space.dim)
     closure = frozenset(j for j, f in enumerate(rows, 1) if not any(sum(map(mul, f, b)) for b in basis))

@@ -17,8 +17,10 @@ the value.  `lp`, over {x : A x >= b} with x free, runs `lp_nonneg` on the
 columns [A | -A] and reads back x = u - v.  The library solves LPs only
 where the face structure does not give the answer: `rdp_split` builds its
 rows in image coordinates, whose variables are nonnegative by construction,
-as ints and calls `_lp_nonneg` directly, and `is_majorizing` calls `lp`
-through `feasible_point`.  Minima over upper sets {z : F z >= w} need none,
+as ints and calls `_lp_nonneg` directly, but only when the start point
+s = 0 misses a row (with every right-hand side <= 0 the solver would stop
+there with no pivot), and `is_majorizing` calls `lp` through
+`feasible_point`.  Minima over upper sets {z : F z >= w} need none,
 since the facet embedding is order dense (see `cover`); the self-test keeps
 `lp` as their oracle, and as the oracle of every `NoSplit`.
 """

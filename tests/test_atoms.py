@@ -731,6 +731,46 @@ def test_rdp_split_is_the_fraction_split():
     assert found[Split] >= 300 and found[NoSplit] >= 100
 
 
+def test_split_with_lo_in_the_range_builds_no_lp(monkeypatch):
+    """When lo = max(0, F z - F x2) lies in the range of F, s = 0 meets every row: no LP is built.
+
+    Two families of probes on cones with rows outside the row basis, where
+    the start test has rows to read.  With z = x2 + w and x1 = w + v, lo is
+    F w, met with equality by s = 0 on every row outside B, and the split
+    is z1 = w.  With z <= x2, lo is 0 and the split is z1 = 0.  Either way
+    the answer is the Fraction form's, which solves its LP.
+    """
+    module = importlib.import_module("ordercone.atoms")
+    calls = [0]
+    solve = module._lp_nonneg
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(module, "_lp_nonneg", counted)
+    rng = random.Random(40624)
+    spaces = [four_ray(), pentagon(), moment_cone(range(7), 4), moment_cone(range(8), 5)]
+    spaces += [random_space(rng) for _ in range(8)] + [random_polygon_space(rng, m) for m in (5, 6, 7)]
+    probes = 0
+    for sp in spaces:
+        if sp.m == sp.dim:
+            continue
+        for _ in range(6):
+            y, w, v = (mixed_positive(rng, sp) for _ in range(3))
+            t, u = Fraction(rng.randint(0, 4), 4), Fraction(rng.randint(1, 4), 4)
+            probe = [
+                (vadd(w, vscale(t, v)), y, vadd(y, w), w),
+                (mixed_positive(rng, sp), y, vscale(u, y), zero_vec(sp.dim)),
+            ]
+            for x1, x2, z, z1 in probe:
+                res = rdp_split(sp, x1, x2, z)
+                assert calls[0] == 0, sp.name
+                assert res == Split(z1, vsub(z, z1)) == fraction_rdp_split(sp, x1, x2, z), sp.name
+                probes += 1
+    assert probes >= 120
+
+
 def test_queries_refuse_wrong_length_vectors():
     sp = four_ray()
     v1, _, v3 = sp.generators[:3]
@@ -746,12 +786,12 @@ def test_queries_refuse_wrong_length_vectors():
 
 
 def test_split_and_sup_work_counts(monkeypatch):
-    """Eliminations and pivots per `rdp_split` and `sup_in_X` call, pinned.
+    """Eliminations, pivots and split LPs per `rdp_split` and `sup_in_X` call, pinned.
 
     Once a space's `row_basis` is cached, neither query eliminates; on a
-    simplicial cone `rdp_split` makes no pivot either.
+    simplicial cone `rdp_split` builds no LP, and so makes no pivot either.
     """
-    counts = {"_echelon": 0, "_pivot": 0}
+    counts = {"_echelon": 0, "_pivot": 0, "_lp_nonneg": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -760,7 +800,12 @@ def test_split_and_sup_work_counts(monkeypatch):
 
         return wrapper
 
-    modules = {linalg: counts, cones: ["_echelon"], importlib.import_module("ordercone.lp"): ["_pivot"]}
+    modules = {
+        linalg: ["_echelon", "_pivot"],
+        cones: ["_echelon"],
+        importlib.import_module("ordercone.lp"): ["_pivot"],
+        importlib.import_module("ordercone.atoms"): ["_lp_nonneg"],
+    }
     for mod, names in modules.items():
         for name in names:
             monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -774,18 +819,19 @@ def test_split_and_sup_work_counts(monkeypatch):
     got = {}
     for label, sp in spaces.items():
         sp.row_basis
-        counts.update(_echelon=0, _pivot=0)
+        counts.update(_echelon=0, _pivot=0, _lp_nonneg=0)
         for _ in range(10):
             rdp_split(sp, *(_atom_triple(rng, sp) or interval_probe(rng, sp)))
-        got[label, "rdp_split"] = counts["_echelon"], counts["_pivot"]
-        counts.update(_echelon=0, _pivot=0)
+        got[label, "rdp_split"] = counts["_echelon"], counts["_pivot"], counts["_lp_nonneg"]
+        counts.update(_echelon=0, _pivot=0, _lp_nonneg=0)
         for _ in range(10):
             sup_in_X(sp, [mixed_positive(rng, sp), random_vector(rng, sp.dim)])
-        got[label, "sup_in_X"] = counts["_echelon"], counts["_pivot"]
+        got[label, "sup_in_X"] = counts["_echelon"], counts["_pivot"], counts["_lp_nonneg"]
     pivots = {"four-ray": 25, "pentagon": 37, "C(7,4)": 112}  # phase 1 of the atom-triple LPs
+    lps = {"four-ray": 10, "pentagon": 10, "C(7,4)": 9}  # the probes where s = 0 misses a row outside B
     assert got == {
-        **{(label, "rdp_split"): (0, pivots.get(label, 0)) for label in spaces},
-        **{(label, "sup_in_X"): (0, 0) for label in spaces},
+        **{(label, "rdp_split"): (0, pivots.get(label, 0), lps.get(label, 0)) for label in spaces},
+        **{(label, "sup_in_X"): (0, 0, 0) for label in spaces},
     }
 
 

@@ -545,7 +545,20 @@ def test_cover_search_cap_refuses_a_high_rank_component_quickly(monkeypatch):
 
 
 def test_span_closure_matches_the_canonical_kernel():
-    for sp in oracle_spaces():
+    """Every row set's closure and rank against the canonical kernel.
+
+    The scrambled direct sums have components of several rows, so the
+    unions of components, which `_span_closure` reads off the row basis,
+    are swept there too, and not only on simplices.
+    """
+    rng = random.Random(30524)
+    sums = [
+        direct_sum(four_ray(), simplex(2), scramble=random_unimodular(rng, 5)),
+        direct_sum(four_ray(), four_ray(), scramble=random_unimodular(rng, 6)),
+        direct_sum(pentagon(), simplex(1), scramble=random_unimodular(rng, 4)),
+    ]
+    for sp in oracle_spaces() + sums:
+        assert sp.m <= 10
         for mask in range(1 << sp.m):
             J = frozenset(j + 1 for j in range(sp.m) if mask >> j & 1)
             K = kernel_of_rows(sp, J)
@@ -905,9 +918,9 @@ def test_band_layer_elimination_counts(monkeypatch):
         ("four-ray", "atom band tests"): 8,
         ("simplex:5", "enumerate_bands"): 36,
         ("simplex:5", "enumerate_order_projections"): 36,
-        ("simplex:5", "atom bands"): 10,
-        ("simplex:5", "atom decompositions"): 5,
-        ("simplex:5", "atom band tests"): 10,
+        ("simplex:5", "atom bands"): 5,
+        ("simplex:5", "atom decompositions"): 0,
+        ("simplex:5", "atom band tests"): 0,
         ("four-ray^3", "enumerate_bands"): 526,
         ("four-ray^3", "enumerate_order_projections"): 10,
         ("four-ray^3", "atom bands"): 60,
@@ -917,5 +930,5 @@ def test_band_layer_elimination_counts(monkeypatch):
         ("8-gon", "enumerate_order_projections"): 1,
         ("8-gon", "atom bands"): 8,
         ("8-gon", "atom decompositions"): 8,
-        ("8-gon", "atom band tests"): 8,
+        ("8-gon", "atom band tests"): 0,
     }
